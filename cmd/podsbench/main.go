@@ -22,9 +22,11 @@
 //	       relax, and matmul (cap 0 = unbounded control arm)
 //	TRACE — observability overhead: tracing off vs on (event rings +
 //	       per-round metric snapshots) on relax and matmul, asserting the
-//	       makespan grows ≤5%; with -csv it also writes the traced relax
-//	       run as Chrome trace_event JSON (Perfetto-loadable), the
-//	       per-round timeline CSV, and a per-PE counter breakdown
+//	       makespan on the deterministic pumped steal schedule grows ≤5%
+//	       (free-running steal+adapt arms give wall time); with -csv it
+//	       also writes the traced relax run as Chrome trace_event JSON
+//	       (Perfetto-loadable), the per-round timeline CSV, and a per-PE
+//	       counter breakdown
 //	SERVE — multi-program job service: a persistent fleet takes a sustained
 //	       closed-loop stream of mixed heat/relax/matmul/triangular jobs
 //	       from concurrent clients; reports job throughput and the latency

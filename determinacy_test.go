@@ -79,6 +79,65 @@ func assertSame(t *testing.T, label string, got, want arraySet) {
 	}
 }
 
+// assertCounters checks the counter invariants every quiescent cluster
+// run must satisfy: each counter's per-PE sum equals its Stats total (and
+// PEInstrs; replayed is bounded by it, see below), every data message sent
+// in the final epoch was received, prefetch hits never outnumber
+// prefetches, and no PE refetched more pages than it evicted.
+func assertCounters(t *testing.T, label string, res *pods.ClusterResult) {
+	t.Helper()
+	st, pes := res.Stats(), res.PEStats()
+	idx := make(map[string]int)
+	for i, name := range pods.ClusterCounterNames() {
+		idx[name] = i
+	}
+	get := func(pe pods.ClusterPEStat, name string) int64 {
+		i, ok := idx[name]
+		if !ok {
+			t.Fatalf("%s: no counter named %q", label, name)
+		}
+		return pe.Counters[i]
+	}
+	sum := func(name string) (n int64) {
+		for _, pe := range pes {
+			n += get(pe, name)
+		}
+		return n
+	}
+	var instrs int64
+	for _, v := range res.PEInstrs() {
+		instrs += v
+	}
+	for _, c := range []struct {
+		name string
+		want int64
+	}{
+		{"instrs", instrs}, {"sent", st.MsgsSent}, {"recv", st.MsgsSent},
+		{"deferred", st.DeferredReads}, {"hits", st.CacheHits}, {"misses", st.CacheMisses},
+		{"evicts", st.Evictions}, {"refetches", st.Refetches}, {"steals", st.Steals},
+		{"forwards", st.Forwards}, {"prefetches", st.Prefetches},
+		{"prefetch_hits", st.PrefetchHits}, {"cache_cap", st.CacheCapNow},
+	} {
+		if got := sum(c.name); got != c.want {
+			t.Errorf("%s: per-PE %s sums to %d, want %d", label, c.name, got, c.want)
+		}
+	}
+	// ReplayedSPs also counts the root assignments the driver itself
+	// replays, which no worker sees; without a recovery both are zero.
+	if got := sum("replayed"); got > st.ReplayedSPs || (st.Recoveries == 0 && got != 0) {
+		t.Errorf("%s: per-PE replayed sums to %d; Stats has %d after %d recoveries",
+			label, got, st.ReplayedSPs, st.Recoveries)
+	}
+	if st.PrefetchHits > st.Prefetches {
+		t.Errorf("%s: %d prefetch hits from %d prefetches", label, st.PrefetchHits, st.Prefetches)
+	}
+	for _, pe := range pes {
+		if r, e := get(pe, "refetches"), get(pe, "evicts"); r > e {
+			t.Errorf("%s: pe %d refetched %d pages but evicted only %d", label, pe.PE, r, e)
+		}
+	}
+}
+
 func TestBackendAgreement(t *testing.T) {
 	for _, k := range kernels.All() {
 		t.Run(k.Name, func(t *testing.T) {
@@ -116,6 +175,7 @@ func TestBackendAgreement(t *testing.T) {
 					t.Fatalf("cluster@%d: %v", pes, err)
 				}
 				assertSame(t, fmt.Sprintf("cluster@%d", pes), gather(t, k, "cluster", cres.Array), want)
+				assertCounters(t, fmt.Sprintf("cluster@%d", pes), cres)
 
 				// The steal-on column: dynamic SP migration must not be
 				// observable in the results either.
@@ -125,6 +185,7 @@ func TestBackendAgreement(t *testing.T) {
 					t.Fatalf("cluster+steal@%d: %v", pes, err)
 				}
 				assertSame(t, fmt.Sprintf("cluster+steal@%d", pes), gather(t, k, "cluster+steal", sres2.Array), want)
+				assertCounters(t, fmt.Sprintf("cluster+steal@%d", pes), sres2)
 
 				// The adapt-on column: Range Filter bounds moving between
 				// sweeps must not be observable either — iterations only
@@ -138,6 +199,7 @@ func TestBackendAgreement(t *testing.T) {
 					t.Fatalf("cluster+adapt@%d: %v", pes, err)
 				}
 				assertSame(t, fmt.Sprintf("cluster+adapt@%d", pes), gather(t, k, "cluster+adapt", ares.Array), want)
+				assertCounters(t, fmt.Sprintf("cluster+adapt@%d", pes), ares)
 
 				// And both dynamic mechanisms at once: rebound bounds with
 				// in-flight steals.
@@ -149,6 +211,7 @@ func TestBackendAgreement(t *testing.T) {
 					t.Fatalf("cluster+adapt+steal@%d: %v", pes, err)
 				}
 				assertSame(t, fmt.Sprintf("cluster+adapt+steal@%d", pes), gather(t, k, "cluster+adapt+steal", bres.Array), want)
+				assertCounters(t, fmt.Sprintf("cluster+adapt+steal@%d", pes), bres)
 
 				// The eviction column: a page-cache cap of two pages per
 				// shard forces CLOCK evictions and refetches mid-run, which
@@ -161,6 +224,7 @@ func TestBackendAgreement(t *testing.T) {
 					t.Fatalf("cluster+evict@%d: %v", pes, err)
 				}
 				assertSame(t, fmt.Sprintf("cluster+evict@%d", pes), gather(t, k, "cluster+evict", eres.Array), want)
+				assertCounters(t, fmt.Sprintf("cluster+evict@%d", pes), eres)
 
 				// Eviction combined with stealing and adaptation: migrated
 				// SPs refetching evicted pages while bounds rebind.
@@ -172,6 +236,7 @@ func TestBackendAgreement(t *testing.T) {
 					t.Fatalf("cluster+evict+adapt+steal@%d: %v", pes, err)
 				}
 				assertSame(t, fmt.Sprintf("cluster+evict+adapt+steal@%d", pes), gather(t, k, "cluster+evict+adapt+steal", ceres.Array), want)
+				assertCounters(t, fmt.Sprintf("cluster+evict+adapt+steal@%d", pes), ceres)
 
 				// The heat column: the unified page-heat machinery —
 				// streaming prefetch, page-granular steal grants, the
@@ -187,6 +252,7 @@ func TestBackendAgreement(t *testing.T) {
 					t.Fatalf("cluster+heat@%d: %v", pes, err)
 				}
 				assertSame(t, fmt.Sprintf("cluster+heat@%d", pes), gather(t, k, "cluster+heat", hres.Array), want)
+				assertCounters(t, fmt.Sprintf("cluster+heat@%d", pes), hres)
 
 				// The trace-on column: recording event rings and per-round
 				// metric snapshots on top of every dynamic mechanism must not
@@ -203,6 +269,7 @@ func TestBackendAgreement(t *testing.T) {
 					t.Fatalf("cluster+trace@%d: %v", pes, err)
 				}
 				assertSame(t, fmt.Sprintf("cluster+trace@%d", pes), gather(t, k, "cluster+trace", tres.Array), want)
+				assertCounters(t, fmt.Sprintf("cluster+trace@%d", pes), tres)
 				if tr := tres.Trace(); tr == nil || tr.Events() == 0 {
 					t.Fatalf("cluster+trace@%d: no trace events gathered", pes)
 				}

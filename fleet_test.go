@@ -63,6 +63,7 @@ func TestBackendAgreementConcurrentJobs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("solo %s/%s: %v", k.Name, col.label, err)
 			}
+			assertCounters(t, "solo "+k.Name+"/"+col.label, solo)
 			cases = append(cases, jobCase{
 				k: k, p: p, label: k.Name + "/" + col.label, cfg: col.cfg,
 				want: gather(t, k, "solo "+k.Name, solo.Array),
@@ -97,6 +98,7 @@ func TestBackendAgreementConcurrentJobs(t *testing.T) {
 			t.Fatalf("fleet %s: %v", c.label, errs[i])
 		}
 		assertSame(t, "fleet "+c.label, gather(t, c.k, c.label, results[i].Array), c.want)
+		assertCounters(t, "fleet "+c.label, results[i])
 		if c.cfg.Trace {
 			if tr := results[i].Trace(); tr == nil || tr.Events() == 0 {
 				t.Errorf("fleet %s: no trace events gathered", c.label)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -73,11 +74,11 @@ type CacheResult struct {
 	HeatCells map[string]map[int]CacheCell
 
 	// StealOff/StealOn are the triread post-steal probe: the deterministic
-	// hand-pumped steal schedule (cluster.StealFetchProbe) at StealCap
+	// hand-pumped steal schedule (cluster.PumpedRun) at StealCap
 	// pages, heat off vs on. Misses are the post-steal demand fetches the
 	// page-granular grant ranking and prefetch are meant to avoid.
 	StealCap          int
-	StealOff, StealOn cluster.StealFetchStats
+	StealOff, StealOn cluster.Stats
 }
 
 // cacheKernels are the default workloads for the cap sweep.
@@ -132,11 +133,7 @@ func Cache(n, pes int, caps []int, kerns ...string) (*CacheResult, error) {
 		} else {
 			cell.HitRate = 1
 		}
-		for _, v := range res.PEInstrs {
-			if v > cell.Makespan {
-				cell.Makespan = v
-			}
-		}
+		cell.Makespan = slices.Max(res.PEInstrs)
 		return cell, nil
 	}
 	for _, kn := range r.Kernels {
@@ -187,14 +184,17 @@ func Cache(n, pes int, caps []int, kerns ...string) (*CacheResult, error) {
 	}
 	r.StealCap = 8
 	for _, heatOn := range []bool{false, true} {
-		st, err := cluster.StealFetchProbe(tprog, tk.Args(stealN), stealPEs, r.StealCap, heatOn)
+		res, err := cluster.PumpedRun(tprog, tk.Args(stealN), cluster.Config{
+			NumPEs: stealPEs, PageElems: 8, DistThreshold: 16,
+			Steal: true, CachePages: r.StealCap, Heat: heatOn,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("triread steal probe heat=%v: %w", heatOn, err)
 		}
 		if heatOn {
-			r.StealOn = st
+			r.StealOn = res.Stats
 		} else {
-			r.StealOff = st
+			r.StealOff = res.Stats
 		}
 	}
 	return r, nil
@@ -226,9 +226,9 @@ func (r *CacheResult) Format() string {
 	}
 	fmt.Fprintf(&b, "\ntriread post-steal probe (pumped schedule, steal on, cap %d):\n", r.StealCap)
 	fmt.Fprintf(&b, "  heat off: %d steals, %d demand fetches, %d hits\n",
-		r.StealOff.Steals, r.StealOff.Misses, r.StealOff.Hits)
+		r.StealOff.Steals, r.StealOff.CacheMisses, r.StealOff.CacheHits)
 	fmt.Fprintf(&b, "  heat on:  %d steals, %d demand fetches, %d hits, %d prefetches (%d hit)\n",
-		r.StealOn.Steals, r.StealOn.Misses, r.StealOn.Hits, r.StealOn.Prefetches, r.StealOn.PrefetchHits)
+		r.StealOn.Steals, r.StealOn.CacheMisses, r.StealOn.CacheHits, r.StealOn.Prefetches, r.StealOn.PrefetchHits)
 	return b.String()
 }
 
@@ -260,16 +260,16 @@ func (r *CacheResult) WriteCSV(w io.Writer) error {
 			}
 		}
 	}
-	probe := func(heat string, st cluster.StealFetchStats) {
+	probe := func(heat string, st cluster.Stats) {
 		hr := 1.0
-		if total := st.Hits + st.Misses; total > 0 {
-			hr = float64(st.Hits) / float64(total)
+		if total := st.CacheHits + st.CacheMisses; total > 0 {
+			hr = float64(st.CacheHits) / float64(total)
 		}
 		rows = append(rows, []string{
 			"triread+steal", strconv.Itoa(r.StealCap), heat, "", "",
 			fmtF(hr),
-			strconv.FormatInt(st.Hits, 10),
-			strconv.FormatInt(st.Misses, 10),
+			strconv.FormatInt(st.CacheHits, 10),
+			strconv.FormatInt(st.CacheMisses, 10),
 			"", "",
 			strconv.FormatInt(st.Prefetches, 10),
 			strconv.FormatInt(st.PrefetchHits, 10),
@@ -315,8 +315,8 @@ func (r *CacheResult) WriteJSON(w io.Writer) error {
 		Prefetches   int64 `json:"prefetches"`
 		PrefetchHits int64 `json:"prefetch_hits"`
 	}
-	convP := func(st cluster.StealFetchStats) probe {
-		return probe{Steals: st.Steals, Misses: st.Misses, Hits: st.Hits,
+	convP := func(st cluster.Stats) probe {
+		return probe{Steals: st.Steals, Misses: st.CacheMisses, Hits: st.CacheHits,
 			Prefetches: st.Prefetches, PrefetchHits: st.PrefetchHits}
 	}
 	doc := struct {

@@ -69,7 +69,7 @@ func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, steal, stealOne bool,
 		if rounds > 50_000_000 {
 			t.Fatal("pumped run did not quiesce")
 		}
-		progress := stepOneRound(ws, eps)
+		progress := pumpRound(ws, eps)
 		drainDriver()
 		if perRound != nil {
 			perRound(ws)
@@ -96,7 +96,7 @@ func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, steal, stealOne bool,
 			}
 		}
 	}
-	for stepOneRound(ws, eps) {
+	for pumpRound(ws, eps) {
 		drainDriver()
 	}
 	drainDriver()
@@ -150,7 +150,7 @@ func TestCacheCapHardBoundDuringRun(t *testing.T) {
 	var evictions, hits int64
 	for _, w := range ws {
 		evictions += w.shard.Evictions
-		hits += w.shard.CacheHits
+		hits += w.ctr[cHits]
 	}
 	if evictions == 0 {
 		t.Fatal("mirror at cap 2 evicted nothing — the bound was never exercised")
@@ -207,8 +207,8 @@ func TestBatchedLocalityStealReducesPostStealMisses(t *testing.T) {
 	run := func(single bool) (misses, steals int64) {
 		ws, _ := pumpedRun(t, k, n, pes, true, single, 0, nil)
 		for _, w := range ws {
-			misses += w.shard.CacheMisses
-			steals += w.steals
+			misses += w.ctr[cMisses]
+			steals += w.ctr[cSteals]
 		}
 		return misses, steals
 	}

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"time"
@@ -37,8 +39,11 @@ func testCtx(t *testing.T) context.Context {
 	return ctx
 }
 
-func TestMsgCodecRoundTrip(t *testing.T) {
-	msgs := []*Msg{
+// codecCorpus is one message of every wire shape: each kind, each gated
+// block, and each slice field filled. The round-trip test and the decoder
+// fuzz target's seed corpus share it.
+func codecCorpus() []*Msg {
+	return []*Msg{
 		{Kind: KToken, From: 3, SP: packID(2, 7), Slot: 5, Val: isa.Float(3.25)},
 		{Kind: KSpawn, Tmpl: 4, Args: []isa.Value{isa.Int(9), isa.SPRef(0), isa.Bool(true)}},
 		{Kind: KAlloc, Arr: packID(1, 1), Name: "A", Dims: []int32{8, 8}, Origin: 1, Dist: true},
@@ -48,8 +53,7 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 		{Kind: KWrite, Arr: 77, Off: 40, Val: isa.Int(-9)},
 		{Kind: KFail, Name: "pe 1: boom"},
 		{Kind: KProbe, Round: 12},
-		{Kind: KAck, Round: 12, Sent: 100, Recv: 99, Live: 3, Deferred: 7, Hits: 5, Misses: 2,
-			Steals: 4, Forwards: 6, Instrs: 12345, Evicts: 11, Refetches: 3},
+		{Kind: KAck, Round: 12, Epoch: 1, Ctrs: distinctCounters(), Flushed: true},
 		{Kind: KDumpReq, Arr: 77},
 		{Kind: KDump, Arr: 77, Off: 64, Vals: []isa.Value{isa.Float(1.5)}, Set: []bool{true}},
 		{Kind: KInit, PE: 1, NumPEs: 4, PageElems: 32, DistThreshold: 64, CachePages: 16,
@@ -80,16 +84,26 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 			Peers: []string{"a:1"}, Prog: []byte("p")},
 		{Kind: KStealDone, From: 2, SP: packIncID(0, 0, 4)},
 		{Kind: KFlush, From: 1, Epoch: 2, Inc: 1},
-		{Kind: KAck, Round: 3, Epoch: 1, Sent: 4, Recv: 4, Replayed: 2, Flushed: true},
 		{Kind: KStealReq, From: 1, HotPages: []int64{packID(0, 1), 3, packID(2, 5), 0}},
-		{Kind: KAck, Round: 9, Sent: 8, Recv: 8, Hits: 40, Misses: 3,
-			Prefetches: 6, PrefetchHits: 4, CacheCapNow: 24},
 		{Kind: KJobStart, Job: 2, NumPEs: 4, PageElems: 8, DistThreshold: 16,
 			CachePages: 2, Steal: true, Heat: true, Prog: []byte("{}")},
 		{Kind: KSubmit, Job: 1, Seq: 7, Name: "triread", CachePages: 4, Heat: true,
 			Args: []isa.Value{isa.Int(26)}, Prog: []byte("p")},
 	}
-	for _, m := range msgs {
+}
+
+// distinctCounters is a counter vector whose entries all differ, so a
+// codec that swapped, dropped or shifted any counter fails the round trip.
+func distinctCounters() []int64 {
+	c := make([]int64, numCounters)
+	for i := range c {
+		c[i] = 0x0102030405060708 + int64(i)<<32
+	}
+	return c
+}
+
+func TestMsgCodecRoundTrip(t *testing.T) {
+	for _, m := range codecCorpus() {
 		b := encodeMsg(nil, m)
 		got, err := decodeMsg(b)
 		if err != nil {
@@ -108,6 +122,52 @@ func TestMsgCodecTruncated(t *testing.T) {
 			t.Errorf("decode of %d/%d bytes: want error", n, len(b))
 		}
 	}
+
+	// An ack cut anywhere — inside the counter block included — fails.
+	ctrs := distinctCounters()
+	ack := encodeMsg(nil, &Msg{Kind: KAck, Round: 4, Ctrs: ctrs, Flushed: true})
+	at := bytes.Index(ack, binary.LittleEndian.AppendUint64(nil, uint64(ctrs[0]))) - 4
+	if at < 0 {
+		t.Fatal("counter block not found in the encoded ack")
+	}
+	for n := at; n < len(ack); n++ {
+		if _, err := decodeMsg(ack[:n]); err == nil {
+			t.Errorf("decode of ack cut at %d/%d bytes (block at %d): want error", n, len(ack), at)
+		}
+	}
+
+	// Any counter-block length but numCounters is refused, before anything
+	// is sized from it.
+	for _, n := range []int64{int64(numCounters) - 1, int64(numCounters) + 1, -1, 1 << 30} {
+		bad := append([]byte(nil), ack...)
+		binary.LittleEndian.PutUint32(bad[at:], uint32(n))
+		if _, err := decodeMsg(bad); err == nil {
+			t.Errorf("counter block length %d: want error", n)
+		}
+	}
+}
+
+// FuzzDecodeMsg feeds arbitrary frames to the decoder, as podsd -serve
+// does with whatever a client sends: it must return an error, never panic,
+// and whatever it accepts must survive a re-encode unchanged.
+func FuzzDecodeMsg(f *testing.F) {
+	for _, m := range codecCorpus() {
+		f.Add(encodeMsg(nil, m))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := decodeMsg(b)
+		if err != nil {
+			return
+		}
+		enc := encodeMsg(nil, m)
+		m2, err := decodeMsg(enc)
+		if err != nil {
+			t.Fatalf("re-decode of an accepted frame: %v", err)
+		}
+		if again := encodeMsg(nil, m2); !bytes.Equal(enc, again) {
+			t.Fatalf("accepted frame does not re-encode stably:\n %x\n %x", enc, again)
+		}
+	})
 }
 
 func TestIDPacking(t *testing.T) {

@@ -170,6 +170,10 @@ type Config struct {
 	MaxElems int64
 }
 
+// defaultTraceCap is the per-worker trace ring size when Config.Trace is
+// set and TraceCap is not.
+const defaultTraceCap = 4096
+
 // DefaultMaxJobs is the concurrent-job admission bound a Fleet applies
 // when Config.MaxJobs is zero.
 const DefaultMaxJobs = 16
@@ -239,7 +243,7 @@ func (c *Config) fill() error {
 	}
 	if c.Trace {
 		if c.TraceCap == 0 {
-			c.TraceCap = 4096
+			c.TraceCap = defaultTraceCap
 		}
 		if c.TraceSample == 0 {
 			c.TraceSample = 1

@@ -151,8 +151,8 @@ func TestStealGrantSeqFence(t *testing.T) {
 	}
 
 	w.installStolen(&Msg{Kind: KStealGrant, From: 0, Seq: 1, Batch: []StealItem{item(1)}})
-	if w.steals != 1 || len(w.insts) != 1 {
-		t.Fatalf("first grant installed %d SPs (%d steals), want 1", len(w.insts), w.steals)
+	if w.ctr[cSteals] != 1 || len(w.insts) != 1 {
+		t.Fatalf("first grant installed %d SPs (%d steals), want 1", len(w.insts), w.ctr[cSteals])
 	}
 
 	// Re-delivery of the same grant (retry after a lost ack, or a replayed
@@ -165,16 +165,16 @@ func TestStealGrantSeqFence(t *testing.T) {
 	if w.dupGrants != 1 {
 		t.Fatalf("dupGrants = %d, want 1", w.dupGrants)
 	}
-	if w.steals != 1 || len(w.insts) != 1 {
-		t.Fatalf("re-delivered grant changed state: %d SPs, %d steals", len(w.insts), w.steals)
+	if w.ctr[cSteals] != 1 || len(w.insts) != 1 {
+		t.Fatalf("re-delivered grant changed state: %d SPs, %d steals", len(w.insts), w.ctr[cSteals])
 	}
 
 	// A stale lower sequence arriving late is equally dead.
 	w.installStolen(&Msg{Kind: KStealGrant, From: 0, Seq: 2, Batch: []StealItem{item(2)}})
 	w.installStolen(&Msg{Kind: KStealGrant, From: 0, Seq: 1, Batch: []StealItem{item(3)}})
-	if w.dupGrants != 2 || w.steals != 2 {
+	if w.dupGrants != 2 || w.ctr[cSteals] != 2 {
 		t.Fatalf("after stale low-seq grant: dupGrants = %d, steals = %d; want 2, 2",
-			w.dupGrants, w.steals)
+			w.dupGrants, w.ctr[cSteals])
 	}
 
 	// The victim's next incarnation restarts its numbering: Seq 1 under
@@ -182,9 +182,9 @@ func TestStealGrantSeqFence(t *testing.T) {
 	reborn := StealItem{SP: packIncID(0, 1, 9), Tmpl: 0,
 		Args: make([]isa.Value, 4), Set: make([]bool, 4)}
 	w.installStolen(&Msg{Kind: KStealGrant, From: 0, Inc: 1, Seq: 1, Batch: []StealItem{reborn}})
-	if w.failed || w.steals != 3 {
+	if w.failed || w.ctr[cSteals] != 3 {
 		t.Fatalf("new-incarnation Seq 1 grant not installed: failed=%v steals=%d",
-			w.failed, w.steals)
+			w.failed, w.ctr[cSteals])
 	}
 }
 

@@ -44,14 +44,8 @@ type heatState struct {
 	// a PrefetchHit and clears the mark.
 	arrived map[heatKey]struct{}
 
-	// gov is the adaptive-cap governor; last* are the counter values at
-	// the previous probe round, for delta extraction.
-	gov           capGovernor
-	lastRefetches int64
-	lastEvicts    int64
-
-	prefetches   int64 // prefetch requests issued (scan + migration)
-	prefetchHits int64 // prefetched pages that later served a demand read
+	// gov is the adaptive-cap governor, ticked at each probe.
+	gov capGovernor
 }
 
 // newHeatState arms the worker-side heat machinery.
@@ -105,7 +99,7 @@ func (w *worker) prefetchPage(h *istructure.Header, page int) bool {
 		return false
 	}
 	w.heat.inflight[k] = struct{}{}
-	w.heat.prefetches++
+	w.ctr[cPrefetches]++
 	w.rec(trace.EvPrefetch, h.ID, int64(page))
 	w.send(owner, &Msg{
 		Kind:  KReadReq,
@@ -125,7 +119,7 @@ func (w *worker) notePrefetchHit(arr int64, page int) {
 	k := heatKey{arr, page}
 	if _, ok := w.heat.arrived[k]; ok {
 		delete(w.heat.arrived, k)
-		w.heat.prefetchHits++
+		w.ctr[cPrefetchHits]++
 	}
 }
 

@@ -101,14 +101,16 @@ func TestPageGranularStealReducesPostStealFetches(t *testing.T) {
 	}
 	prog := compile(t, k.File(), k.Source)
 	const n, pes, cap = 26, 8, 8
-	off, err := StealFetchProbe(prog, k.Args(n), pes, cap, false)
-	if err != nil {
-		t.Fatal(err)
+	probe := func(heat bool) Stats {
+		res, err := PumpedRun(prog, k.Args(n), Config{
+			NumPEs: pes, PageElems: 8, DistThreshold: 16, Steal: true, CachePages: cap, Heat: heat,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats
 	}
-	on, err := StealFetchProbe(prog, k.Args(n), pes, cap, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	off, on := probe(false), probe(true)
 	t.Logf("heat off: %+v", off)
 	t.Logf("heat on:  %+v", on)
 	if off.Steals == 0 || on.Steals == 0 {
@@ -120,8 +122,8 @@ func TestPageGranularStealReducesPostStealFetches(t *testing.T) {
 	if on.Prefetches == 0 || on.PrefetchHits == 0 {
 		t.Fatalf("heat-on arm never prefetched usefully: %d issued, %d hit", on.Prefetches, on.PrefetchHits)
 	}
-	if on.Misses >= off.Misses {
-		t.Fatalf("page-granular steal paid %d demand fetches, array-granular paid %d — no locality win", on.Misses, off.Misses)
+	if on.CacheMisses >= off.CacheMisses {
+		t.Fatalf("page-granular steal paid %d demand fetches, array-granular paid %d — no locality win", on.CacheMisses, off.CacheMisses)
 	}
 }
 

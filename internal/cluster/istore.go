@@ -143,13 +143,13 @@ func (w *worker) execRead(sp *spInst, ins *isa.Instr) (suspended bool) {
 	}
 
 	if v, _, hit := w.shard.CacheLookup(h.ID, h, off); hit {
-		w.shard.CacheHits++
+		w.ctr[cHits]++
 		w.notePrefetchHit(h.ID, h.PageOf(off))
 		sp.set(ins.Dst, v)
 		w.maybePrefetch(h, off)
 		return false
 	}
-	w.shard.CacheMisses++
+	w.ctr[cMisses]++
 	w.rec(trace.EvPageFetch, h.ID, int64(h.PageOf(off)))
 	w.maybePrefetch(h, off)
 	if w.recover {

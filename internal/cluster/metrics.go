@@ -16,19 +16,10 @@ import (
 // container CI topology can assert a worker is making progress mid-run with
 // one wget. In-process runs publish too — the counters are process-global
 // by design (a podsd worker process hosts exactly one worker at a time, and
-// a test binary's totals are still meaningful as totals).
+// a test binary's totals are still meaningful as totals). The per-counter
+// totals are counterVars (counters.go); mAcks counts the probe acks.
 var (
-	mInstrs  = expvar.NewInt("pods_instrs_total")
-	mMsgs    = expvar.NewInt("pods_msgs_total")
-	mAcks    = expvar.NewInt("pods_acks_total")
-	mSteals  = expvar.NewInt("pods_steals_total")
-	mHits    = expvar.NewInt("pods_cache_hits_total")
-	mMisses  = expvar.NewInt("pods_cache_misses_total")
-	mEvicts  = expvar.NewInt("pods_evictions_total")
-	mReplays = expvar.NewInt("pods_replayed_total")
-
-	mPrefetches   = expvar.NewInt("pods_prefetches_total")
-	mPrefetchHits = expvar.NewInt("pods_prefetch_hits_total")
+	mAcks = expvar.NewInt("pods_acks_total")
 
 	// Job-service counters, maintained by Fleet.Submit: jobs running now,
 	// jobs ever admitted, and jobs bounced by admission control.
@@ -37,35 +28,17 @@ var (
 	mJobsRejected = expvar.NewInt("pods_jobs_rejected_total")
 )
 
-// pubCounters remembers the last counter values a worker pushed into the
-// process-wide metrics, so each probe publishes only the delta.
-type pubCounters struct {
-	instrs, msgs, steals, hits, misses, evicts, replays int64
-	prefetches, prefetchHits                            int64
-}
-
 // publishMetrics folds this worker's counter growth since the previous
-// probe into the process-wide expvar metrics. Deltas are clamped at zero:
-// a recovery epoch zeroes sent/recv, and a monotone total must not absorb
-// the negative step.
-func (w *worker) publishMetrics() {
-	delta := func(cur int64, prev *int64) int64 {
-		d := cur - *prev
-		*prev = cur
-		if d < 0 {
-			return 0
+// probe into the process-wide expvar metrics (clamped deltas, so an epoch
+// reset never subtracts from a monotone total).
+func (w *worker) publishMetrics(cur *counters) {
+	d := cur.delta(&w.pub)
+	for c, v := range counterVars {
+		if v != nil {
+			v.Add(d[c])
 		}
-		return d
 	}
-	mInstrs.Add(delta(w.instrs, &w.pub.instrs))
-	mMsgs.Add(delta(w.sent+w.recv, &w.pub.msgs))
-	mSteals.Add(delta(w.steals, &w.pub.steals))
-	mHits.Add(delta(w.shard.CacheHits, &w.pub.hits))
-	mMisses.Add(delta(w.shard.CacheMisses, &w.pub.misses))
-	mEvicts.Add(delta(w.shard.Evictions, &w.pub.evicts))
-	mReplays.Add(delta(w.replayed, &w.pub.replays))
-	mPrefetches.Add(delta(w.heat.prefetches, &w.pub.prefetches))
-	mPrefetchHits.Add(delta(w.heat.prefetchHits, &w.pub.prefetchHits))
+	w.pub = *cur
 	mAcks.Add(1)
 }
 

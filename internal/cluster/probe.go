@@ -7,95 +7,85 @@ import (
 	"repro/internal/rtcfg"
 )
 
-// StealFetchStats is one deterministic steal-locality probe measurement.
-type StealFetchStats struct {
-	Steals       int64 // SP instances migrated
-	Misses       int64 // demand page fetches (the post-steal cost under test)
-	Hits         int64 // demand reads served from the cache
-	Prefetches   int64 // pages requested ahead of the miss (heat arm)
-	PrefetchHits int64 // prefetched pages that later served a demand read
-}
-
-// StealFetchProbe runs a kernel on hand-pumped workers — the same
-// deterministic, adversarially fair round-robin schedule the steal tests
-// use — with work stealing enabled, and reports the page-fetch counters at
-// quiescence. Free-running schedules resolve most of a steal-heavy
-// kernel's reads through the deferred-token path (the read reaches the
-// owner before the write does, so no page ever ships) and therefore
-// cannot show what a steal-grant policy costs; the pumped schedule
-// interleaves every PE fairly, so stolen iterations read already-written
-// pages and the post-steal fetch count is exact and reproducible. The
-// CACHE experiment uses it to A/B array-granular locality (heat off, the
-// steal-grant policy as first shipped) against page-granular ranking plus
-// prefetch (heat on) on identical schedules.
-func StealFetchProbe(prog *isa.Program, args []isa.Value, pes, cachePages int, heat bool) (StealFetchStats, error) {
-	var st StealFetchStats
-	geo := rtcfg.Geometry{PEs: pes, PageElems: 8, DistThreshold: 16}
-	if err := geo.Fill(pes); err != nil {
-		return st, err
+// PumpedRun runs a kernel on hand-pumped workers — the deterministic,
+// adversarially fair round-robin schedule of pumpRound, with no driver
+// probes — and returns the quiescent counters (Stats, PEInstrs, PEStats)
+// summed as a probed run's final acks are. It honours cfg's geometry and
+// worker options (Steal, CachePages, Heat, Trace) and nothing else: no
+// environment overrides, rebinds (there are no probe rounds) or recovery,
+// so equal inputs always give equal counts. Unlike free-running schedules, where a steal-heavy
+// kernel's reads mostly resolve as deferred tokens and timing moves every
+// count, it makes post-steal page fetches (the CACHE probe) and traced vs
+// untraced makespans (the TRACE gate) exact and reproducible.
+func PumpedRun(prog *isa.Program, args []isa.Value, cfg Config) (*Result, error) {
+	geo := rtcfg.Geometry{PEs: cfg.NumPEs, PageElems: cfg.PageElems, DistThreshold: cfg.DistThreshold}
+	if err := geo.Fill(rtcfg.DefaultPEs); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	pes := geo.PEs
+	opts := cfg.workerOpts()
+	if opts.trace && opts.traceCap == 0 {
+		opts.traceCap = defaultTraceCap
 	}
 	eps := newChanTransport(pes, 0)
 	ws := make([]*worker, pes)
 	for pe := range ws {
-		ws[pe] = newWorker(pe, pes, geo, prog, eps[pe], workerOpts{
-			steal: true, cachePages: cachePages, heat: heat,
-		})
+		ws[pe] = newWorker(pe, pes, geo, prog, eps[pe], opts)
 	}
 	driver := eps[pes]
-	drainDriver := func() error {
-		for {
-			m, ok := driver.TryRecv()
-			if !ok {
-				return nil
-			}
-			if m.Kind == KFail {
-				return fmt.Errorf("cluster: probe worker failed: %s", m.Name)
-			}
-		}
-	}
-
 	if err := driver.Send(0, &Msg{Kind: KSpawn, Tmpl: int32(prog.EntryID), Args: args}); err != nil {
-		return st, err
+		return nil, err
 	}
 	for rounds := 0; ; rounds++ {
 		if rounds > 50_000_000 {
-			return st, fmt.Errorf("cluster: probe did not quiesce")
+			return nil, fmt.Errorf("cluster: pumped run did not quiesce")
 		}
-		progress := false
-		for i, w := range ws {
-			for {
-				m, ok := eps[i].TryRecv()
-				if !ok {
-					break
-				}
-				w.handle(m)
-				progress = true
+		progress := pumpRound(ws, eps)
+		for {
+			m, ok := driver.TryRecv()
+			if !ok {
+				break
 			}
-			if w.readyHead != len(w.ready) {
-				w.step()
-				progress = true
-			} else {
-				before := w.stealOutstanding
-				w.maybeSteal()
-				progress = progress || (w.stealOutstanding && !before)
+			if m.Kind == KFail {
+				return nil, fmt.Errorf("cluster: pumped worker failed: %s", m.Name)
 			}
-		}
-		if err := drainDriver(); err != nil {
-			return st, err
 		}
 		if !progress {
 			break
 		}
 	}
-	for _, w := range ws {
+	det := newDetector(pes)
+	for pe, w := range ws {
 		if len(w.insts) != 0 {
-			return st, fmt.Errorf("cluster: probe deadlocked with %d live SPs on pe %d", len(w.insts), w.pe)
+			return nil, fmt.Errorf("cluster: pumped run deadlocked with %d live SPs on pe %d", len(w.insts), pe)
 		}
-		st.Steals += w.steals
-		st.Misses += w.shard.CacheMisses
-		st.Hits += w.shard.CacheHits
-		st.Prefetches += w.heat.prefetches
-		st.PrefetchHits += w.heat.prefetchHits
+		det.acks[pe].ctr = w.snapshot()
 	}
-	return st, nil
+	return &Result{NumPEs: pes, Stats: det.stats(), PEInstrs: det.perPEInstrs(), PEStats: det.perPEStats()}, nil
+}
+
+// pumpRound gives every worker one mailbox drain plus at most one step
+// (or one steal attempt when idle) — a deterministic stand-in for N PEs
+// progressing in parallel. It reports whether anything happened.
+func pumpRound(ws []*worker, eps []Endpoint) bool {
+	progress := false
+	for i, w := range ws {
+		for {
+			m, ok := eps[i].TryRecv()
+			if !ok {
+				break
+			}
+			w.handle(m)
+			progress = true
+		}
+		if w.readyHead != len(w.ready) {
+			w.step()
+			progress = true
+		} else {
+			before := w.stealOutstanding
+			w.maybeSteal()
+			progress = progress || (w.stealOutstanding && !before)
+		}
+	}
+	return progress
 }

@@ -69,8 +69,9 @@ const (
 	// KProbe is a termination-detection probe for round Round.
 	KProbe
 
-	// KAck answers a probe: cumulative worker-to-worker Sent/Recv message
-	// counts, the Live SP count, and shard statistics.
+	// KAck answers a probe with the worker's counter vector: cumulative
+	// worker-to-worker sent/recv message counts, the live SP count, and
+	// the load, cache and steal statistics (counters.go).
 	KAck
 
 	// KDumpReq asks a worker for its owned segment of array Arr.
@@ -342,28 +343,12 @@ type Msg struct {
 	Epoch int32
 	Inc   int32
 
-	// Termination detection (probe, ack).
-	Round      int32
-	Sent, Recv int64
-	Live       int32
-	Deferred   int64 // shard deferred-read count (ack)
-	Hits       int64 // page-cache hits (ack)
-	Misses     int64 // page-cache misses (ack)
-	Steals     int64 // SPs stolen and installed by this worker (ack)
-	Forwards   int64 // tokens relayed through forwarding stubs (ack)
-	Instrs     int64 // instructions executed by this worker (ack)
-	Evicts     int64 // cached pages evicted by the cache bound (ack)
-	Refetches  int64 // previously evicted pages fetched again (ack)
-	Replayed   int64 // SPs re-sent or re-instantiated for replacements (ack)
-	Flushed    bool  // epoch flush markers held from every peer (ack)
-	QDepth     int64 // ready-queue depth at the probe (ack)
-
-	// Page-heat counters (ack): prefetches issued, prefetched pages that
-	// served a demand read, and the shard's current (possibly adapted)
-	// cache cap.
-	Prefetches   int64
-	PrefetchHits int64
-	CacheCapNow  int64
+	// Termination detection (probe, ack). Ctrs is the acking worker's
+	// counter vector (numCounters entries, indexed by counter); Flushed
+	// reports epoch flush markers held from every peer.
+	Round   int32
+	Ctrs    []int64
+	Flushed bool
 
 	// Adaptive repartitioning (spawn, costReport, rebound). A migrating
 	// SP's cost tag travels per StealItem in the grant batch.
@@ -469,11 +454,10 @@ func (k MsgKind) hasStealBlock() bool {
 	return false
 }
 
-// hasStatsBlock reports whether the kind carries the probe-answer counters
-// (Sent … QDepth) on the wire. Only the ack does; gating them spares
-// every hot data frame (tokens, writes, pages) the 76 always-zero bytes
-// the ten counters would cost. Round stays in the flat prefix — probes
-// carry it too.
+// hasStatsBlock reports whether the kind carries the probe answer (the
+// counter vector and the Flushed bit) on the wire. Only the ack does;
+// gating it spares every hot data frame (tokens, writes, pages) the
+// always-empty block. Round stays in the flat prefix — probes carry it too.
 func (k MsgKind) hasStatsBlock() bool { return k == KAck }
 
 // hasInitBlock reports whether the kind carries the observability
@@ -586,27 +570,12 @@ func encodeMsg(b []byte, m *Msg) []byte {
 	b = appendI32(b, m.Inc)
 	b = appendI32(b, m.Round)
 	if m.Kind.hasStatsBlock() {
-		b = appendI64(b, m.Sent)
-		b = appendI64(b, m.Recv)
-		b = appendI32(b, m.Live)
-		b = appendI64(b, m.Deferred)
-		b = appendI64(b, m.Hits)
-		b = appendI64(b, m.Misses)
-		b = appendI64(b, m.Steals)
-		b = appendI64(b, m.Forwards)
-		b = appendI64(b, m.Instrs)
-		b = appendI64(b, m.Evicts)
-		b = appendI64(b, m.Refetches)
-		b = appendI64(b, m.Replayed)
+		b = appendI64s(b, m.Ctrs)
 		if m.Flushed {
 			b = append(b, 1)
 		} else {
 			b = append(b, 0)
 		}
-		b = appendI64(b, m.QDepth)
-		b = appendI64(b, m.Prefetches)
-		b = appendI64(b, m.PrefetchHits)
-		b = appendI64(b, m.CacheCapNow)
 	}
 	if m.Kind.hasAdaptBlock() {
 		b = appendI64(b, m.Sweep)
@@ -773,6 +742,22 @@ func (r *reader) i64s() []int64 {
 	return out
 }
 
+// counters reads a counter-vector block. Its length prefix must equal
+// numCounters exactly, so the allocation is never sized from the wire.
+func (r *reader) counters() []int64 {
+	if n := r.u32(); r.err == nil && n != uint32(numCounters) {
+		r.err = fmt.Errorf("cluster: counter block of %d entries, want %d", n, numCounters)
+	}
+	if r.err != nil {
+		return nil
+	}
+	out := make([]int64, numCounters)
+	for i := range out {
+		out[i] = r.i64()
+	}
+	return out
+}
+
 // sliceLen validates a slice-length prefix against the remaining bytes so a
 // corrupt frame cannot force a huge allocation.
 func (r *reader) sliceLen(elemSize int) int {
@@ -831,23 +816,8 @@ func decodeMsg(b []byte) (*Msg, error) {
 	m.Inc = r.i32()
 	m.Round = r.i32()
 	if m.Kind.hasStatsBlock() {
-		m.Sent = r.i64()
-		m.Recv = r.i64()
-		m.Live = r.i32()
-		m.Deferred = r.i64()
-		m.Hits = r.i64()
-		m.Misses = r.i64()
-		m.Steals = r.i64()
-		m.Forwards = r.i64()
-		m.Instrs = r.i64()
-		m.Evicts = r.i64()
-		m.Refetches = r.i64()
-		m.Replayed = r.i64()
+		m.Ctrs = r.counters()
 		m.Flushed = r.u8() != 0
-		m.QDepth = r.i64()
-		m.Prefetches = r.i64()
-		m.PrefetchHits = r.i64()
-		m.CacheCapNow = r.i64()
 	}
 	if m.Kind.hasAdaptBlock() {
 		m.Sweep = r.i64()

@@ -186,8 +186,8 @@ func TestFenceDropsStaleFrames(t *testing.T) {
 	if w.failed {
 		t.Fatal("stale frames failed the worker")
 	}
-	if w.recv != 0 {
-		t.Fatalf("stale data frames were counted: recv = %d", w.recv)
+	if w.ctr[cRecv] != 0 {
+		t.Fatalf("stale data frames were counted: recv = %d", w.ctr[cRecv])
 	}
 	if w.staleMsgs != int64(len(stale)) {
 		t.Fatalf("staleMsgs = %d, want %d", w.staleMsgs, len(stale))
@@ -232,13 +232,13 @@ func TestDetectorIgnoresStaleEpochAcks(t *testing.T) {
 	d := newDetector(2)
 	d.reset(1)
 	d.begin(1)
-	if d.record(0, &Msg{Kind: KAck, Round: 1, Epoch: 0, Sent: 10, Recv: 10, Flushed: true}) {
+	if d.record(0, &Msg{Kind: KAck, Round: 1, Epoch: 0, Ctrs: ackCtrs(10, 10, 0), Flushed: true}) {
 		t.Fatal("stale-epoch ack completed the round")
 	}
-	if d.record(0, &Msg{Kind: KAck, Round: 1, Epoch: 1, Sent: 1, Recv: 1, Flushed: true}) {
+	if d.record(0, &Msg{Kind: KAck, Round: 1, Epoch: 1, Ctrs: ackCtrs(1, 1, 0), Flushed: true}) {
 		t.Fatal("round complete after one PE")
 	}
-	if !d.record(1, &Msg{Kind: KAck, Round: 1, Epoch: 1, Sent: 1, Recv: 1, Flushed: true}) {
+	if !d.record(1, &Msg{Kind: KAck, Round: 1, Epoch: 1, Ctrs: ackCtrs(1, 1, 0), Flushed: true}) {
 		t.Fatal("round not complete after both PEs answered in the new epoch")
 	}
 }

@@ -31,23 +31,12 @@ type Stats struct {
 	CacheCapNow   int64 // final resident-page budget, summed over PEs (adaptive cap)
 }
 
-// PEStat is one worker's counter breakdown from its final probe answer —
-// the per-PE decomposition of the cluster-wide Stats sums.
+// PEStat is one worker's counter vector from its final probe answer — the
+// per-PE decomposition of the cluster-wide Stats sums. Counters is indexed
+// like CounterNames.
 type PEStat struct {
-	PE            int
-	Instrs        int64
-	Sent, Recv    int64
-	DeferredReads int64
-	CacheHits     int64
-	CacheMisses   int64
-	Evictions     int64
-	Refetches     int64
-	Steals        int64
-	Forwards      int64
-	Replayed      int64
-	Prefetches    int64
-	PrefetchHits  int64
-	CacheCapNow   int64
+	PE       int
+	Counters []int64
 }
 
 // gathered is one assembled array after a run. raw keeps the wire values
@@ -191,14 +180,14 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 
 	// Observability (Config.Trace): the timeline builder turns each
 	// completed probe round's acks into one delta-encoded sample per PE;
-	// prevAcks holds the previous completed round's counters the deltas are
+	// prev holds the previous completed round's counters the deltas are
 	// taken against.
 	var tb *trace.TimelineBuilder
-	var prevAcks []ackState
+	var prev []counters
 	driverStart := time.Now()
 	if cfg.Trace {
 		tb = trace.NewTimelineBuilder(timelineCap)
-		prevAcks = make([]ackState, n)
+		prev = make([]counters, n)
 	}
 	sampleTimeline := func(round int32) {
 		if tb == nil {
@@ -206,18 +195,15 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 		}
 		wall := int64(time.Since(driverStart))
 		for pe := 0; pe < n; pe++ {
-			a, p := det.acks[pe], prevAcks[pe]
-			// A recovery epoch zeroes sent/recv mid-run; clamp so the
-			// reset never shows up as negative traffic.
-			d := func(cur, prev int64) int64 { return max(cur-prev, 0) }
+			cur := &det.acks[pe].ctr
+			d := cur.delta(&prev[pe])
 			tb.Add(trace.Sample{
 				Round: int(round), Wall: wall, PE: pe,
-				Instrs: d(a.instrs, p.instrs), QDepth: a.qdepth, Live: int64(a.live),
-				Sent: d(a.sent, p.sent), Hits: d(a.hits, p.hits),
-				Misses: d(a.misses, p.misses), Evicts: d(a.evicts, p.evicts),
-				Steals: d(a.steals, p.steals),
+				Instrs: d[cInstrs], QDepth: d[cQDepth], Live: d[cLive],
+				Sent: d[cSent], Hits: d[cHits], Misses: d[cMisses],
+				Evicts: d[cEvicts], Steals: d[cSteals],
 			})
-			prevAcks[pe] = a
+			prev[pe] = *cur
 		}
 	}
 	stopAll := func() {
@@ -460,7 +446,7 @@ func drive(ctx context.Context, ep Endpoint, cfg Config, entry *isa.Template, ar
 		if cfg.MaxInstrs > 0 {
 			var instrs int64
 			for pe := 0; pe < n; pe++ {
-				instrs += det.acks[pe].instrs
+				instrs += det.acks[pe].ctr[cInstrs]
 			}
 			if instrs > cfg.MaxInstrs {
 				stopAll()

@@ -154,8 +154,8 @@ func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 	w1.maybeSteal()
 	drainOnly(w0, eps[0])
 	drainOnly(w1, eps[1])
-	if w1.steals != 1 || w1.insts[id1] == nil {
-		t.Fatalf("steals=%d insts[id1]=%v, want the first SP stolen to PE 1", w1.steals, w1.insts[id1])
+	if w1.ctr[cSteals] != 1 || w1.insts[id1] == nil {
+		t.Fatalf("steals=%d insts[id1]=%v, want the first SP stolen to PE 1", w1.ctr[cSteals], w1.insts[id1])
 	}
 	if to, ok := w0.forwards[id1]; !ok || to != 1 {
 		t.Fatalf("victim forwarding stub = (%d, %v), want (1, true)", to, ok)
@@ -171,8 +171,8 @@ func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 		t.Fatal(err)
 	}
 	pump()
-	if w0.forwarded != 1 {
-		t.Fatalf("victim forwarded %d tokens, want 1", w0.forwarded)
+	if w0.ctr[cForwards] != 1 {
+		t.Fatalf("victim forwarded %d tokens, want 1", w0.ctr[cForwards])
 	}
 	m, ok := driver.TryRecv()
 	if !ok || m.Kind != KToken || m.Val.F != 2.5 {
@@ -202,9 +202,9 @@ func TestStealProtocolGrantForwardLateToken(t *testing.T) {
 	if _, ok := driver.TryRecv(); !ok {
 		t.Fatal("home SP produced no result")
 	}
-	if w0.sent+w1.sent != w0.recv+w1.recv {
+	if w0.ctr[cSent]+w1.ctr[cSent] != w0.ctr[cRecv]+w1.ctr[cRecv] {
 		t.Fatalf("counters unbalanced at quiescence: sent %d+%d, recv %d+%d",
-			w0.sent, w1.sent, w0.recv, w1.recv)
+			w0.ctr[cSent], w1.ctr[cSent], w0.ctr[cRecv], w1.ctr[cRecv])
 	}
 
 	// A token for an ID no worker has ever seen is still a hard failure.
@@ -318,17 +318,17 @@ func TestStealDeclinedWhenUnloaded(t *testing.T) {
 	pump()
 	w1.maybeSteal()
 	pump()
-	if w1.steals != 0 || w1.stealFails != 1 || w1.stealWait != 1 {
+	if w1.ctr[cSteals] != 0 || w1.stealFails != 1 || w1.stealWait != 1 {
 		t.Fatalf("after decline: steals=%d fails=%d wait=%d, want 0/1/1",
-			w1.steals, w1.stealFails, w1.stealWait)
+			w1.ctr[cSteals], w1.stealFails, w1.stealWait)
 	}
 	// The next idle wake-up only pays down the backoff; no request goes
 	// out until it reaches zero.
 	w1.maybeSteal()
 	pump()
-	if w1.stealFails != 1 || w1.stealWait != 0 || w1.steals != 0 {
+	if w1.stealFails != 1 || w1.stealWait != 0 || w1.ctr[cSteals] != 0 {
 		t.Fatalf("backoff wake-up: fails=%d wait=%d steals=%d, want 1/0/0",
-			w1.stealFails, w1.stealWait, w1.steals)
+			w1.stealFails, w1.stealWait, w1.ctr[cSteals])
 	}
 	// Repeated declines reach dormancy (2 sweeps of the single peer);
 	// after that, no further requests are sent.
@@ -358,31 +358,6 @@ func TestStealDeclinedWhenUnloaded(t *testing.T) {
 		t.Fatal("revived worker sent no steal request")
 	}
 	pump()
-}
-
-// stepOneRound gives every worker one drain plus at most one step — a
-// deterministic stand-in for N PEs progressing in parallel.
-func stepOneRound(ws []*worker, eps []Endpoint) bool {
-	progress := false
-	for i, w := range ws {
-		for {
-			m, ok := eps[i].TryRecv()
-			if !ok {
-				break
-			}
-			w.handle(m)
-			progress = true
-		}
-		if w.readyHead != len(w.ready) {
-			w.step()
-			progress = true
-		} else {
-			before := w.stealOutstanding
-			w.maybeSteal()
-			progress = progress || (w.stealOutstanding && !before)
-		}
-	}
-	return progress
 }
 
 // TestStealDeterminacyPumpedTriangular runs the triangular kernel on four
@@ -443,7 +418,7 @@ func TestStealDeterminacyPumpedTriangular(t *testing.T) {
 		if rounds > 50_000_000 {
 			t.Fatal("pumped run did not quiesce")
 		}
-		progress := stepOneRound(ws, eps)
+		progress := pumpRound(ws, eps)
 		drainDriver()
 		if !progress {
 			break
@@ -451,7 +426,7 @@ func TestStealDeterminacyPumpedTriangular(t *testing.T) {
 	}
 	var steals, live int64
 	for _, w := range ws {
-		steals += w.steals
+		steals += w.ctr[cSteals]
 		live += int64(len(w.insts))
 	}
 	if live != 0 {
@@ -474,7 +449,7 @@ func TestStealDeterminacyPumpedTriangular(t *testing.T) {
 			}
 		}
 	}
-	for stepOneRound(ws, eps) {
+	for pumpRound(ws, eps) {
 		drainDriver()
 	}
 	drainDriver()
@@ -640,8 +615,8 @@ func TestStealGrantBatchHalfOldestFirst(t *testing.T) {
 		}
 	}
 	w1.handle(grant)
-	if w1.steals != 3 || len(w1.insts) != 3 {
-		t.Fatalf("thief installed %d SPs (%d steals), want 3", len(w1.insts), w1.steals)
+	if w1.ctr[cSteals] != 3 || len(w1.insts) != 3 {
+		t.Fatalf("thief installed %d SPs (%d steals), want 3", len(w1.insts), w1.ctr[cSteals])
 	}
 }
 

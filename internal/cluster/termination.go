@@ -20,24 +20,9 @@ import (
 
 // ackState is one worker's most recent probe answer.
 type ackState struct {
-	round      int32
-	sent, recv int64
-	live       int32
-	deferred   int64
-	hits       int64
-	misses     int64
-	steals     int64
-	forwards   int64
-	instrs     int64
-	evicts     int64
-	refetches  int64
-	replayed   int64
-	flushed    bool
-	qdepth     int64
-
-	prefetches   int64
-	prefetchHits int64
-	capNow       int64
+	round   int32
+	flushed bool
+	ctr     counters
 }
 
 // detector accumulates probe rounds and decides termination.
@@ -87,14 +72,9 @@ func (d *detector) record(pe int, m *Msg) bool {
 		return false
 	}
 	d.seen[pe] = true
-	d.acks[pe] = ackState{
-		round: m.Round, sent: m.Sent, recv: m.Recv, live: m.Live,
-		deferred: m.Deferred, hits: m.Hits, misses: m.Misses,
-		steals: m.Steals, forwards: m.Forwards, instrs: m.Instrs,
-		evicts: m.Evicts, refetches: m.Refetches, replayed: m.Replayed,
-		flushed: m.Flushed, qdepth: m.QDepth,
-		prefetches: m.Prefetches, prefetchHits: m.PrefetchHits, capNow: m.CacheCapNow,
-	}
+	a := ackState{round: m.Round, flushed: m.Flushed}
+	copy(a.ctr[:], m.Ctrs)
+	d.acks[pe] = a
 	d.got++
 	return d.got == len(d.acks)
 }
@@ -109,9 +89,9 @@ func (d *detector) roundDone() bool {
 	var sent, recv int64
 	allIdle := true
 	for _, a := range d.acks {
-		sent += a.sent
-		recv += a.recv
-		if a.live > 0 {
+		sent += a.ctr[cSent]
+		recv += a.ctr[cRecv]
+		if a.ctr[cLive] > 0 {
 			allIdle = false
 		}
 		if !a.flushed {
@@ -149,31 +129,20 @@ func (d *detector) unacked() []int {
 func (d *detector) liveSPs() int {
 	n := 0
 	for _, a := range d.acks {
-		n += int(a.live)
+		n += int(a.ctr[cLive])
 	}
 	return n
 }
 
-// stats aggregates the shard statistics of the latest acks.
+// stats sums the latest acks' counter vectors into the public Stats.
 func (d *detector) stats() Stats {
-	var s Stats
+	var t counters
 	for _, a := range d.acks {
-		s.DeferredReads += a.deferred
-		s.CacheHits += a.hits
-		s.CacheMisses += a.misses
-		s.Evictions += a.evicts
-		s.Refetches += a.refetches
-		s.MsgsSent += a.sent
-		s.Steals += a.steals
-		s.Forwards += a.forwards
-		s.ReplayedSPs += a.replayed
-		s.Prefetches += a.prefetches
-		s.PrefetchHits += a.prefetchHits
-		// Summed across PEs: the cluster-wide resident-page budget at the
-		// last ack (each PE reports its own current CachePages bound).
-		s.CacheCapNow += a.capNow
+		for c, v := range a.ctr {
+			t[c] += v
+		}
 	}
-	return s
+	return t.stats()
 }
 
 // stallReport describes the round being collected for the driver's
@@ -190,7 +159,7 @@ func (d *detector) stallReport() string {
 		} else {
 			fmt.Fprintf(&b, "pe %d: NO ACK for round %d (last ack round %d)", pe, d.round, a.round)
 		}
-		fmt.Fprintf(&b, " live=%d sent=%d recv=%d", a.live, a.sent, a.recv)
+		fmt.Fprintf(&b, " live=%d sent=%d recv=%d", a.ctr[cLive], a.ctr[cSent], a.ctr[cRecv])
 	}
 	return b.String()
 }
@@ -200,25 +169,18 @@ func (d *detector) stallReport() string {
 func (d *detector) perPEInstrs() []int64 {
 	out := make([]int64, len(d.acks))
 	for i, a := range d.acks {
-		out[i] = a.instrs
+		out[i] = a.ctr[cInstrs]
 	}
 	return out
 }
 
-// perPEStats reports each worker's full counter breakdown from the latest
-// acks — the per-PE half of Result.Stats, so balance claims are checkable
-// per worker instead of only as cluster-wide sums.
+// perPEStats reports each worker's counter vector from the latest acks —
+// the per-PE half of Result.Stats, so balance claims are checkable per
+// worker instead of only as cluster-wide sums.
 func (d *detector) perPEStats() []PEStat {
 	out := make([]PEStat, len(d.acks))
-	for i, a := range d.acks {
-		out[i] = PEStat{
-			PE: i, Instrs: a.instrs, Sent: a.sent, Recv: a.recv,
-			DeferredReads: a.deferred, CacheHits: a.hits, CacheMisses: a.misses,
-			Evictions: a.evicts, Refetches: a.refetches,
-			Steals: a.steals, Forwards: a.forwards, Replayed: a.replayed,
-			Prefetches: a.prefetches, PrefetchHits: a.prefetchHits,
-			CacheCapNow: a.capNow,
-		}
+	for i := range d.acks {
+		out[i] = PEStat{PE: i, Counters: append([]int64(nil), d.acks[i].ctr[:]...)}
 	}
 	return out
 }

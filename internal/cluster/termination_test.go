@@ -19,7 +19,14 @@ import (
 // given counters and live SP count (epoch 0, trivially flushed). Returns
 // whether the round completed.
 func detAck(d *detector, pe int, round int32, sent, recv int64, live int32) bool {
-	return d.record(pe, &Msg{Kind: KAck, Round: round, Sent: sent, Recv: recv, Live: live, Flushed: true})
+	return d.record(pe, &Msg{Kind: KAck, Round: round, Ctrs: ackCtrs(sent, recv, int64(live)), Flushed: true})
+}
+
+// ackCtrs builds an ack's counter vector carrying the four-counter fields.
+func ackCtrs(sent, recv, live int64) []int64 {
+	var c counters
+	c[cSent], c[cRecv], c[cLive] = sent, recv, live
+	return c[:]
 }
 
 // completeRound collects one full round on d and evaluates it.

@@ -115,13 +115,11 @@ type worker struct {
 	nextSP  int64
 	nextArr int64
 
-	// sent/recv count worker-to-worker data messages for termination
-	// detection (driver traffic is control-plane and excluded).
-	sent, recv int64
-
-	// instrs counts executed instructions (the per-PE load metric the
-	// SKEW experiment reports).
-	instrs int64
+	// ctr is the worker's counter vector (counters.go); its sent/recv
+	// entries are the termination detector's halves (worker-to-worker
+	// data only). pub is the vector the previous probe published.
+	ctr counters
+	pub counters
 
 	// Work stealing (enabled by Config.Steal). forwards maps the home ID
 	// of a stolen SP to the endpoint it was granted to: any token that
@@ -143,8 +141,6 @@ type worker struct {
 	stealWait        int   // idle wake-ups to skip before the next attempt
 	dormantProbes    int   // probe rounds observed while dormant
 	stealOutstanding bool  // one request in flight at a time
-	steals           int64 // SPs stolen and installed here
-	forwarded        int64 // tokens relayed through forwarding stubs
 	lateTokens       int64 // tokens dropped for halted SPs
 
 	// Steal-grant replay protection. A victim numbers the grants it sends
@@ -187,7 +183,6 @@ type worker struct {
 	grantLog  map[int64]grantRec
 	allocLog  []*istructure.Header // arrays this worker allocated (broadcasts replayed)
 	fanoutLog []fanoutRec          // SPAWND fan-outs this worker performed
-	replayed  int64                // SPs this worker re-sent or re-instantiated for replacements
 
 	// Replay-log GC (driver-coordinated checkpoints; see KCkpt). arrays
 	// lists every installed array ID, the iteration order for checkpoint
@@ -228,19 +223,16 @@ type worker struct {
 	nextSweep int64
 
 	// heat is the worker-side page-heat machinery (Config.Heat): the
-	// prefetch dedup and credit tables, the adaptive-cap governor, and
-	// the prefetch counters. See heat.go.
+	// prefetch dedup and credit tables and the adaptive-cap governor.
+	// See heat.go.
 	heat heatState
 
 	// sliceSteps counts step() calls since the last cooperative yield.
 	sliceSteps int
 
 	// tr is the observability event recorder (Config.Trace); nil when
-	// tracing is off, so every hook is a single nil check. pub remembers
-	// the counter values already published to the process-wide expvar
-	// metrics, so each probe ack publishes only the delta.
-	tr  *trace.Recorder
-	pub pubCounters
+	// tracing is off, so every hook is a single nil check.
+	tr *trace.Recorder
 
 	failed  bool
 	stopped bool
@@ -250,13 +242,26 @@ type worker struct {
 // counter is the event's deterministic timestamp.
 func (w *worker) rec(k trace.Kind, arg0, arg1 int64) {
 	if w.tr != nil {
-		w.tr.Record(k, w.instrs, arg0, arg1)
+		w.tr.Record(k, w.ctr[cInstrs], arg0, arg1)
 	}
 }
 
 // qdepth reports the live ready-queue depth (tombstones excluded).
 func (w *worker) qdepth() int64 {
 	return int64(len(w.ready) - w.readyHead - w.readyNil)
+}
+
+// snapshot reads the worker's counter vector at a probe: its own counts
+// plus the shard-internal ones and the gauges.
+func (w *worker) snapshot() counters {
+	c := w.ctr
+	c[cDeferred] = w.shard.DeferredReads
+	c[cEvicts] = w.shard.Evictions
+	c[cRefetches] = w.shard.Refetches
+	c[cCacheCap] = int64(w.shard.CacheCap)
+	c[cQDepth] = w.qdepth()
+	c[cLive] = int64(len(w.insts))
+	return c
 }
 
 // costKey identifies one cost-accounting bucket: the Range-Filtered loop
@@ -343,7 +348,7 @@ func newWorker(pe, n int, geo rtcfg.Geometry, prog *isa.Program, ep Endpoint, op
 		// The shard's eviction point is the one place a cached page dies;
 		// hooking it there catches both InstallPage paths.
 		w.shard.OnEvict = func(arr int64, page int) {
-			w.tr.Record(trace.EvPageEvict, w.instrs, arr, int64(page))
+			w.tr.Record(trace.EvPageEvict, w.ctr[cInstrs], arr, int64(page))
 		}
 	}
 	return w
@@ -382,7 +387,7 @@ func (w *worker) enableRecovery(inc, epoch int32, incs []int32) {
 // or immediately for a freshly-joined replacement.
 func (w *worker) bumpEpoch(epoch int32) {
 	w.epoch = epoch
-	w.sent, w.recv = 0, 0
+	w.ctr[cSent], w.ctr[cRecv] = 0, 0
 	w.recovered = true
 	w.rec(trace.EvEpoch, int64(epoch), 0)
 	if w.flushFrom != nil {
@@ -428,7 +433,7 @@ func (w *worker) driverID() int { return w.n }
 func (w *worker) send(to int, m *Msg) {
 	m.Epoch, m.Inc = w.epoch, w.inc
 	if to != w.driverID() && m.Kind.isData() {
-		w.sent++
+		w.ctr[cSent]++
 	}
 	if err := w.ep.Send(to, m); err != nil {
 		if errors.Is(err, ErrClosed) {
@@ -514,7 +519,7 @@ func (w *worker) debugDump(why string) {
 			why, w.pe, w.inc, id, jobOf(id), peOf(id), incOf(id), sp.tmpl.Name, sp.pc, sp.blocked, sp.stolen)
 	}
 	fmt.Fprintf(os.Stderr, "DEBUG(%s) pe %d inc %d pendingReads %d waitArray %d outReads %d ready %d epoch %d sent %d recv %d\n",
-		why, w.pe, w.inc, w.shard.PendingReads(), len(w.waitArray), len(w.outReads), len(w.ready)-w.readyHead-w.readyNil, w.epoch, w.sent, w.recv)
+		why, w.pe, w.inc, w.shard.PendingReads(), len(w.waitArray), len(w.outReads), len(w.ready)-w.readyHead-w.readyNil, w.epoch, w.ctr[cSent], w.ctr[cRecv])
 }
 
 // run is the worker main loop: drain the mailbox, then execute ready SPs;
@@ -862,7 +867,7 @@ func (w *worker) replayFor(k int) {
 			m.RngLo, m.RngHi = cutBounds(f.cuts, k, w.n)
 		}
 		w.send(k, m)
-		w.replayed++
+		w.ctr[cReplayed]++
 	}
 	// In-flight reads owned by k — requested, queued as deferred reads in
 	// the dead shard, or answered by a page that died on the wire — are
@@ -902,7 +907,7 @@ func (w *worker) replayFor(k int) {
 		}
 		w.insts[id] = sp
 		w.enqueue(sp)
-		w.replayed++
+		w.ctr[cReplayed]++
 	}
 	// Conversely, not-yet-started SPs the dead incarnation granted *to*
 	// this worker are discarded: their grantor (or the replacement's
@@ -993,7 +998,7 @@ func (w *worker) installStolen(m *Msg) {
 			costIter:    it.CostIter,
 		}
 		w.insts[sp.id] = sp
-		w.steals++
+		w.ctr[cSteals]++
 		w.enqueue(sp)
 	}
 }
@@ -1029,7 +1034,7 @@ func (w *worker) handle(m *Msg) {
 		w.bumpEpoch(m.Epoch)
 	}
 	if m.Kind.isData() && int(m.From) != w.driverID() && m.Epoch == w.epoch {
-		w.recv++
+		w.ctr[cRecv]++
 	}
 	switch m.Kind {
 	case KSpawn:
@@ -1094,41 +1099,22 @@ func (w *worker) handle(m *Msg) {
 		// round boundary never misses costs the round's acks imply.
 		w.flushCosts()
 		// The adaptive cache cap ticks on the probe cadence: the round's
-		// refetch and eviction deltas are the pressure signal, and a cap
-		// move takes effect immediately (growth) or at the next install
-		// (shrink, via InstallPage's shrink loop).
+		// refetch and eviction deltas (against the previous probe's
+		// published vector) are the pressure signal, and a cap move takes
+		// effect immediately (growth) or at the next install (shrink, via
+		// InstallPage's shrink loop).
+		ctr := w.snapshot()
 		if w.heat.on && w.heat.gov.enabled() {
-			rd := w.shard.Refetches - w.heat.lastRefetches
-			ed := w.shard.Evictions - w.heat.lastEvicts
-			w.heat.lastRefetches, w.heat.lastEvicts = w.shard.Refetches, w.shard.Evictions
-			if cap, changed := w.heat.gov.tick(rd, ed); changed {
+			rd := ctr[cRefetches] - w.pub[cRefetches]
+			if cap, changed := w.heat.gov.tick(rd, ctr[cEvicts]-w.pub[cEvicts]); changed {
 				w.shard.CacheCap = cap
+				ctr[cCacheCap] = int64(cap)
 				w.rec(trace.EvCacheResize, int64(cap), rd)
 			}
 		}
-		w.rec(trace.EvProbe, int64(m.Round), w.qdepth())
-		w.publishMetrics()
-		w.send(w.driverID(), &Msg{
-			Kind:         KAck,
-			Round:        m.Round,
-			Sent:         w.sent,
-			Recv:         w.recv,
-			Live:         int32(len(w.insts)),
-			Deferred:     w.shard.DeferredReads,
-			Hits:         w.shard.CacheHits,
-			Misses:       w.shard.CacheMisses,
-			Steals:       w.steals,
-			Forwards:     w.forwarded,
-			Instrs:       w.instrs,
-			Evicts:       w.shard.Evictions,
-			Refetches:    w.shard.Refetches,
-			Replayed:     w.replayed,
-			Flushed:      w.epochFlushed(),
-			QDepth:       w.qdepth(),
-			Prefetches:   w.heat.prefetches,
-			PrefetchHits: w.heat.prefetchHits,
-			CacheCapNow:  int64(w.shard.CacheCap),
-		})
+		w.rec(trace.EvProbe, int64(m.Round), ctr[cQDepth])
+		w.publishMetrics(&ctr)
+		w.send(w.driverID(), &Msg{Kind: KAck, Round: m.Round, Flushed: w.epochFlushed(), Ctrs: ctr[:]})
 
 	case KStealReq:
 		w.handleStealReq(m)
@@ -1313,7 +1299,7 @@ func (w *worker) deliver(id int64, slot int, v isa.Value) {
 	sp := w.insts[id]
 	if sp == nil {
 		if thief, ok := w.forwards[id]; ok {
-			w.forwarded++
+			w.ctr[cForwards]++
 			w.send(thief, &Msg{Kind: KToken, SP: id, Slot: int32(slot), Val: v})
 			return
 		}
@@ -1372,7 +1358,7 @@ func (w *worker) route(id int64, slot int, v isa.Value) {
 		}
 		if thief, ok := w.forwards[id]; ok {
 			// Stolen in and then stolen away again: relay directly.
-			w.forwarded++
+			w.ctr[cForwards]++
 			w.send(thief, &Msg{Kind: KToken, SP: id, Slot: int32(slot), Val: v})
 			return
 		}
@@ -1432,7 +1418,7 @@ func (w *worker) header(sp *spInst, slot int) *istructure.Header {
 func (w *worker) step() {
 	// The shard's heat table stamps last-touch times with this worker's
 	// instruction counter — deterministic per PE, monotone per step.
-	w.shard.Now = w.instrs
+	w.shard.Now = w.ctr[cInstrs]
 	var sp *spInst
 	for sp == nil {
 		if w.readyHead == len(w.ready) {
@@ -1468,7 +1454,7 @@ func (w *worker) step() {
 			}
 		}
 		if sp.traced == 1 {
-			w.tr.Record(trace.EvSPDispatch, w.instrs, sp.id, int64(sp.tmpl.ID))
+			w.tr.Record(trace.EvSPDispatch, w.ctr[cInstrs], sp.id, int64(sp.tmpl.ID))
 		}
 	}
 
@@ -1536,7 +1522,7 @@ func (w *worker) step() {
 				return
 			}
 			sp.set(ins.Dst, v)
-			w.instrs++
+			w.ctr[cInstrs]++
 			chargeStep()
 			sp.pc = next
 			continue
@@ -1737,7 +1723,7 @@ func (w *worker) step() {
 
 		case isa.HALT:
 			if sp.traced == 1 {
-				w.tr.Record(trace.EvSPComplete, w.instrs, sp.id, int64(sp.tmpl.ID))
+				w.tr.Record(trace.EvSPComplete, w.ctr[cInstrs], sp.id, int64(sp.tmpl.ID))
 			}
 			delete(w.insts, sp.id)
 			if sp.stolen {
@@ -1762,7 +1748,7 @@ func (w *worker) step() {
 		// missing array header returns above with pc unchanged, and the
 		// re-execution on wake would otherwise count twice (skewing the
 		// per-PE load numbers the SKEW experiment reports).
-		w.instrs++
+		w.ctr[cInstrs]++
 		chargeStep()
 		sp.pc = next
 	}

@@ -170,19 +170,19 @@ func (p *pe) performRead(sp *spInst, in *isa.Instr, now int64) (endBurst bool) {
 	}
 	if m.cfg.DisableCache {
 		m.serve(&p.am, now, timing.AMCachedReadTime, func(t int64) {
-			p.shard.CacheMisses++
+			m.counts.CacheMisses++
 			p.sendReadRequest(t, arr, h, off, owner, spID, dst)
 		})
 		return true
 	}
 	m.serve(&p.am, now, timing.AMCachedReadTime, func(t int64) {
 		if v, _, hit := p.shard.CacheLookup(arr, h, off); hit {
-			p.shard.CacheHits++
+			m.counts.CacheHits++
 			end := m.extend(&p.am, t, timing.AMDeliverTime)
 			m.deliver(end, spID, dst, v)
 			return
 		}
-		p.shard.CacheMisses++
+		m.counts.CacheMisses++
 		end := m.extend(&p.am, t, timing.AMCacheMissExtra)
 		p.sendReadRequest(end, arr, h, off, owner, spID, dst)
 	})

@@ -225,8 +225,6 @@ func (m *Machine) Run(args ...isa.Value) (*Result, error) {
 	}
 	for _, p := range m.pes {
 		res.Counts.DeferredReads += p.shard.DeferredReads
-		res.Counts.CacheHits += p.shard.CacheHits
-		res.Counts.CacheMisses += p.shard.CacheMisses
 	}
 	return res, nil
 }

@@ -161,8 +161,12 @@ func (p *Program) Execute(ctx context.Context, cfg RunConfig, args ...Value) (*E
 // event streams plus the per-probe-round metrics timeline).
 type ClusterTrace = trace.Trace
 
-// ClusterPEStat is one worker's counter breakdown from a cluster run.
+// ClusterPEStat is one worker's counter vector from a cluster run,
+// indexed like ClusterCounterNames.
 type ClusterPEStat = cluster.PEStat
+
+// ClusterCounterNames names the entries of ClusterPEStat.Counters.
+func ClusterCounterNames() []string { return cluster.CounterNames() }
 
 // ClusterResult is a completed distributed-memory (message-passing) run.
 type ClusterResult struct {

@@ -57,6 +57,7 @@ func TestBackendAgreementWithWorkerKill(t *testing.T) {
 						t.Fatalf("%s: unkilled run: %v", label, err)
 					}
 					want := gather(t, k, label+"/ref", refRes.Array)
+					assertCounters(t, label+"/ref", refRes)
 
 					killed := c.cfg
 					killed.NumPEs = pes
@@ -68,6 +69,7 @@ func TestBackendAgreementWithWorkerKill(t *testing.T) {
 						t.Fatalf("%s: killed run: %v", label, err)
 					}
 					assertSame(t, label, gather(t, k, label, kRes.Array), want)
+					assertCounters(t, label, kRes)
 
 					// A fired kill cannot yield zero recoveries: the dead
 					// endpoint surfaces a down notice and the driver either
