@@ -19,7 +19,8 @@
 //	       utilization, rebound count
 //	CACHE — bounded page cache with CLOCK eviction: hit rate, makespan,
 //	       evictions and refetches vs. the per-shard page cap on heat,
-//	       relax, and matmul (cap 0 = unbounded control arm)
+//	       relax, and matmul (cap 0 = unbounded control arm), plus
+//	       prefetch and adaptive-cap counts and a triread post-steal probe
 //	TRACE — observability overhead: tracing off vs on (event rings +
 //	       per-round metric snapshots) on relax and matmul, asserting the
 //	       makespan on the deterministic pumped steal schedule grows ≤5%
@@ -216,9 +217,9 @@ func run(argv []string) error {
 		if err := emitCSV(*csvDir, "cache.csv", r.WriteCSV); err != nil {
 			return err
 		}
-		// BENCH_CACHE.json is the machine-readable record of the heat
-		// machinery's acceptance numbers; written unconditionally (into
-		// -csv's directory when given, the working directory otherwise).
+		// BENCH_CACHE.json is the experiment's machine-readable record;
+		// written unconditionally (into -csv's directory when given, the
+		// working directory otherwise).
 		jsonDir := *csvDir
 		if jsonDir == "" {
 			jsonDir = "."

@@ -94,7 +94,6 @@ func run(argv []string) error {
 	cachePages := fs.Int("cache", 0, "cap each PE's remote page cache at this many pages, CLOCK-evicted (0 = unbounded)")
 	steal := fs.Bool("steal", false, "enable dynamic work stealing between PEs")
 	adapt := fs.Bool("adapt", false, "enable adaptive repartitioning of Range Filter bounds between sweeps")
-	heat := fs.Bool("heat", false, "enable the unified page-heat machinery: streaming prefetch, page-granular steal locality, adaptive cache cap, rebind migration")
 	latency := fs.Duration("latency", 0, "inject per-hop latency into the in-process transport")
 	timeout := fs.Duration("timeout", 2*time.Minute, "abort a (possibly deadlocked) run after this long")
 	metrics := fs.String("metrics", "", "serve live metrics on this address (/metrics, /debug/vars, /debug/pprof)")
@@ -172,14 +171,14 @@ func run(argv []string) error {
 
 	if *submitAddr != "" {
 		cfg := cluster.Config{PageElems: *pageElems, CachePages: *cachePages,
-			Steal: *steal, Adapt: *adapt, Heat: *heat,
+			Steal: *steal, Adapt: *adapt,
 			TraceCap: *traceCap, TraceSample: *traceSample,
 			MaxInstrs: *maxInstrs, MaxElems: *maxElems}
 		return submitJob(*submitAddr, name, prog, cfg, args, *dump, *timeout)
 	}
 
 	cfg := cluster.Config{NumPEs: *pes, PageElems: *pageElems, CachePages: *cachePages,
-		Steal: *steal, Adapt: *adapt, Heat: *heat, Latency: *latency, Recover: *recoverFlag,
+		Steal: *steal, Adapt: *adapt, Latency: *latency, Recover: *recoverFlag,
 		TraceCap: *traceCap, TraceSample: *traceSample,
 		MaxInstrs: *maxInstrs, MaxElems: *maxElems}
 	cfg.Trace = *traceOut != "" || *timelineOut != ""

@@ -238,22 +238,6 @@ func TestBackendAgreement(t *testing.T) {
 				assertSame(t, fmt.Sprintf("cluster+evict+adapt+steal@%d", pes), gather(t, k, "cluster+evict+adapt+steal", ceres.Array), want)
 				assertCounters(t, fmt.Sprintf("cluster+evict+adapt+steal@%d", pes), ceres)
 
-				// The heat column: the unified page-heat machinery —
-				// streaming prefetch, page-granular steal grants, the
-				// adaptive cache cap, and rebind migration — moves pages
-				// and work around, never results. The two-page floor makes
-				// the governor and the prefetcher actually fire here.
-				hres, err := p.ExecuteCluster(ctx, pods.ClusterConfig{
-					NumPEs: pes, PageElems: determinacyPage, CachePages: 2,
-					Heat: true, Adapt: true, Steal: true,
-					ProbeInterval: 20 * time.Microsecond,
-				}, args...)
-				if err != nil {
-					t.Fatalf("cluster+heat@%d: %v", pes, err)
-				}
-				assertSame(t, fmt.Sprintf("cluster+heat@%d", pes), gather(t, k, "cluster+heat", hres.Array), want)
-				assertCounters(t, fmt.Sprintf("cluster+heat@%d", pes), hres)
-
 				// The trace-on column: recording event rings and per-round
 				// metric snapshots on top of every dynamic mechanism must not
 				// perturb the computation — the trace frames are control-plane

@@ -21,7 +21,8 @@ import (
 // fleetJobColumns are the per-job knob sets submitted concurrently: the
 // static scheduler, and every dynamic mechanism at once (migrating SPs,
 // rebinding Range Filter bounds, CLOCK-evicting cached pages, recording
-// trace rings) — each job must still match its own solo run bit for bit.
+// trace rings), and the same mechanisms untraced — each job must still
+// match its own solo run bit for bit.
 var fleetJobColumns = []struct {
 	label string
 	cfg   pods.ClusterConfig
@@ -32,8 +33,8 @@ var fleetJobColumns = []struct {
 		Steal: true, Adapt: true, ProbeInterval: 20 * time.Microsecond,
 		Trace: true, TraceCap: 256,
 	}},
-	{"heat+steal+adapt+evict", pods.ClusterConfig{
-		PageElems: determinacyPage, CachePages: 2, Heat: true,
+	{"steal+adapt+evict", pods.ClusterConfig{
+		PageElems: determinacyPage, CachePages: 2,
 		Steal: true, Adapt: true, ProbeInterval: 20 * time.Microsecond,
 	}},
 }

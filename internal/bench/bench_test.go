@@ -226,11 +226,11 @@ func TestCacheShape(t *testing.T) {
 	if err := r.WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(b.String(), "kernel,cap,heat,wall_ms,makespan,hit_rate,hits,misses,evictions,refetches,prefetches,prefetch_hits,cap_end\n") {
+	if !strings.HasPrefix(b.String(), "kernel,cap,wall_ms,makespan,hit_rate,hits,misses,evictions,refetches,prefetches,prefetch_hits,cap_end\n") {
 		t.Errorf("cache csv: %s", b.String())
 	}
 	if !strings.Contains(b.String(), "triread+steal") {
-		t.Errorf("cache csv missing the post-steal probe rows: %s", b.String())
+		t.Errorf("cache csv missing the post-steal probe row: %s", b.String())
 	}
 }
 

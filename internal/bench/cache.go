@@ -37,16 +37,12 @@ import (
 // small cap and the hit-rate curve actually bends — heat and relax touch
 // remote pages in tight bursts and barely notice eviction).
 //
-// Since the page-heat machinery landed (Config.Heat), every bounded cell
-// also runs a heat-on arm: streaming prefetch plus the adaptive cap,
-// against the same fixed budget as the floor. The heat arm's hit rate at
-// the caps where the plain bound collapses — matmul under a working set
-// many times the cap — is the experiment's headline. A separate triread
-// probe compares post-steal remote fetches with stealing on: array-
-// granular locality (heat off, the PR 4 baseline) against page-granular
-// ranking plus prefetch (heat on).
+// Every run has the page-heat machinery on: streaming prefetch, and on a
+// bounded cell the adaptive cap with the configured budget as its floor.
+// A separate triread probe counts post-steal remote fetches with stealing
+// on, under page-granular grant ranking plus prefetch.
 
-// CacheCell is one (kernel, cap, heat) measurement.
+// CacheCell is one (kernel, cap) measurement.
 type CacheCell struct {
 	Wall         time.Duration
 	Makespan     int64   // max per-PE executed instructions
@@ -55,7 +51,7 @@ type CacheCell struct {
 	Misses       int64
 	Evictions    int64
 	Refetches    int64
-	Prefetches   int64 // pages requested ahead of the miss (heat arm)
+	Prefetches   int64 // pages requested ahead of the miss
 	PrefetchHits int64 // prefetched pages that later served a demand read
 	CapEnd       int64 // final resident-page budget summed over PEs (adaptive cap)
 }
@@ -66,19 +62,15 @@ type CacheResult struct {
 	PEs     int
 	Caps    []int // page-cache caps; 0 = unbounded control arm
 	Kernels []string
-	// Cells[kernel][cap] is the plain bounded cache (heat off).
+	// Cells[kernel][cap] is one run at that budget.
 	Cells map[string]map[int]CacheCell
-	// HeatCells[kernel][cap] is the same budget with Config.Heat on
-	// (prefetch + adaptive cap). The unbounded cap 0 is skipped — with no
-	// bound there is nothing for the machinery to win back.
-	HeatCells map[string]map[int]CacheCell
 
-	// StealOff/StealOn are the triread post-steal probe: the deterministic
-	// hand-pumped steal schedule (cluster.PumpedRun) at StealCap
-	// pages, heat off vs on. Misses are the post-steal demand fetches the
-	// page-granular grant ranking and prefetch are meant to avoid.
-	StealCap          int
-	StealOff, StealOn cluster.Stats
+	// Steal is the triread post-steal probe: the deterministic hand-pumped
+	// steal schedule (cluster.PumpedRun) at StealCap pages. Misses are the
+	// post-steal demand fetches the page-granular grant ranking and
+	// prefetch are meant to avoid.
+	StealCap int
+	Steal    cluster.Stats
 }
 
 // cacheKernels are the default workloads for the cap sweep.
@@ -93,21 +85,15 @@ func Cache(n, pes int, caps []int, kerns ...string) (*CacheResult, error) {
 		// reporting a ~1.0 hit-rate ratio as if the bound cost nothing.
 		return nil, fmt.Errorf("bench: CACHE needs a genuine unbounded control arm; unset PODS_FORCE_CACHE_PAGES")
 	}
-	if cluster.ForcePrefetchFromEnv() {
-		// Likewise: the heat-off arms are the baseline the heat arms are
-		// measured against.
-		return nil, fmt.Errorf("bench: CACHE needs a genuine heat-off baseline; unset PODS_FORCE_PREFETCH")
-	}
 	if len(kerns) == 0 {
 		kerns = cacheKernels
 	}
 	r := &CacheResult{
-		N:         n,
-		PEs:       pes,
-		Caps:      caps,
-		Kernels:   kerns,
-		Cells:     make(map[string]map[int]CacheCell),
-		HeatCells: make(map[string]map[int]CacheCell),
+		N:       n,
+		PEs:     pes,
+		Caps:    caps,
+		Kernels: kerns,
+		Cells:   make(map[string]map[int]CacheCell),
 	}
 	ctx := context.Background()
 	run := func(prog *isa.Program, cfg cluster.Config, args []isa.Value) (CacheCell, error) {
@@ -146,33 +132,22 @@ func Cache(n, pes int, caps []int, kerns ...string) (*CacheResult, error) {
 			return nil, err
 		}
 		r.Cells[kn] = make(map[int]CacheCell)
-		r.HeatCells[kn] = make(map[int]CacheCell)
 		for _, cap := range caps {
 			cell, err := run(prog, cluster.Config{NumPEs: pes, CachePages: cap}, k.Args(n))
 			if err != nil {
 				return nil, fmt.Errorf("%s @cap=%d: %w", kn, cap, err)
 			}
 			r.Cells[kn][cap] = cell
-			if cap == 0 {
-				continue // unbounded: nothing for the heat machinery to win back
-			}
-			hcell, err := run(prog, cluster.Config{NumPEs: pes, CachePages: cap, Heat: true}, k.Args(n))
-			if err != nil {
-				return nil, fmt.Errorf("%s @cap=%d heat: %w", kn, cap, err)
-			}
-			r.HeatCells[kn][cap] = hcell
 		}
 	}
 
 	// The post-steal locality probe: triread reads one shared array, so
-	// array-granular steal locality cannot separate candidates and the
-	// thief pays a demand fetch per stolen row's page. Page-granular
-	// ranking plus prefetch is what the heat machinery claims to fix. The
-	// probe runs the deterministic pumped schedule so both arms see
-	// identical steal opportunities and the fetch counts are exact, and it
-	// is pinned to the configuration of the original batched-locality
-	// acceptance test (triread, n=26 @8 PEs) so "versus the PR 4 baseline"
-	// is a like-for-like comparison regardless of the sweep's own n.
+	// only page-granular ranking can tell its steal candidates apart, and
+	// a thief granted rows it does not hold pays a demand fetch per stolen
+	// row's page. The probe runs the deterministic pumped schedule so the
+	// fetch counts are exact, and it is pinned to the configuration of the
+	// original batched-locality acceptance test (triread, n=26 @8 PEs) so
+	// the count stays comparable regardless of the sweep's own n.
 	const stealN, stealPEs = 26, 8
 	tk, ok := kernels.ByName("triread")
 	if !ok {
@@ -183,20 +158,14 @@ func Cache(n, pes int, caps []int, kerns ...string) (*CacheResult, error) {
 		return nil, err
 	}
 	r.StealCap = 8
-	for _, heatOn := range []bool{false, true} {
-		res, err := cluster.PumpedRun(tprog, tk.Args(stealN), cluster.Config{
-			NumPEs: stealPEs, PageElems: 8, DistThreshold: 16,
-			Steal: true, CachePages: r.StealCap, Heat: heatOn,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("triread steal probe heat=%v: %w", heatOn, err)
-		}
-		if heatOn {
-			r.StealOn = res.Stats
-		} else {
-			r.StealOff = res.Stats
-		}
+	res, err := cluster.PumpedRun(tprog, tk.Args(stealN), cluster.Config{
+		NumPEs: stealPEs, PageElems: 8, DistThreshold: 16,
+		Steal: true, CachePages: r.StealCap,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("triread steal probe: %w", err)
 	}
+	r.Steal = res.Stats
 	return r, nil
 }
 
@@ -205,80 +174,63 @@ func (r *CacheResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "CACHE — bounded page cache with CLOCK eviction, n=%d @%dPE (cap in pages per shard; 0 = unbounded)\n", r.N, r.PEs)
 	fmt.Fprintf(&b, "hit-rate = hits÷(hits+misses) over remote reads; refetches = evicted pages fetched again\n")
-	fmt.Fprintf(&b, "heat = streaming prefetch + adaptive cap on the same budget; cap-end = final budget summed over PEs\n\n")
-	fmt.Fprintf(&b, "%-8s %5s %-4s %12s %10s %8s %8s %8s %8s %9s %9s %7s %7s\n",
-		"kernel", "cap", "heat", "wall-ms", "makespan", "hitrate", "hits", "misses", "evicts", "refetches", "prefetch", "pf-hit", "cap-end")
-	ms := func(d time.Duration) string {
-		return fmt.Sprintf("%.3f", float64(d.Microseconds())/1000)
-	}
-	row := func(kn string, cap int, heat string, c CacheCell) {
-		fmt.Fprintf(&b, "%-8s %5d %-4s %12s %10d %8.3f %8d %8d %8d %9d %9d %7d %7d\n",
-			kn, cap, heat, ms(c.Wall), c.Makespan, c.HitRate, c.Hits, c.Misses,
-			c.Evictions, c.Refetches, c.Prefetches, c.PrefetchHits, c.CapEnd)
-	}
+	fmt.Fprintf(&b, "prefetch = pages streamed ahead of a scan; cap-end = final adaptive budget summed over PEs\n\n")
+	fmt.Fprintf(&b, "%-8s %5s %12s %10s %8s %8s %8s %8s %9s %9s %7s %7s\n",
+		"kernel", "cap", "wall-ms", "makespan", "hitrate", "hits", "misses", "evicts", "refetches", "prefetch", "pf-hit", "cap-end")
 	for _, kn := range r.Kernels {
 		for _, cap := range r.Caps {
-			row(kn, cap, "off", r.Cells[kn][cap])
-			if hc, ok := r.HeatCells[kn][cap]; ok {
-				row(kn, cap, "on", hc)
-			}
+			c := r.Cells[kn][cap]
+			fmt.Fprintf(&b, "%-8s %5d %12.3f %10d %8.3f %8d %8d %8d %9d %9d %7d %7d\n",
+				kn, cap, float64(c.Wall.Microseconds())/1000, c.Makespan, c.HitRate, c.Hits, c.Misses,
+				c.Evictions, c.Refetches, c.Prefetches, c.PrefetchHits, c.CapEnd)
 		}
 	}
+	st := r.Steal
 	fmt.Fprintf(&b, "\ntriread post-steal probe (pumped schedule, steal on, cap %d):\n", r.StealCap)
-	fmt.Fprintf(&b, "  heat off: %d steals, %d demand fetches, %d hits\n",
-		r.StealOff.Steals, r.StealOff.CacheMisses, r.StealOff.CacheHits)
-	fmt.Fprintf(&b, "  heat on:  %d steals, %d demand fetches, %d hits, %d prefetches (%d hit)\n",
-		r.StealOn.Steals, r.StealOn.CacheMisses, r.StealOn.CacheHits, r.StealOn.Prefetches, r.StealOn.PrefetchHits)
+	fmt.Fprintf(&b, "  %d steals, %d demand fetches, %d hits, %d prefetches (%d hit)\n",
+		st.Steals, st.CacheMisses, st.CacheHits, st.Prefetches, st.PrefetchHits)
 	return b.String()
 }
 
-// WriteCSV emits kernel,cap,heat,wall_ms,makespan,hit_rate,hits,misses,
+// WriteCSV emits kernel,cap,wall_ms,makespan,hit_rate,hits,misses,
 // evictions,refetches,prefetches,prefetch_hits,cap_end rows; the triread
 // post-steal probe rides along as kernel "triread+steal".
 func (r *CacheResult) WriteCSV(w io.Writer) error {
 	var rows [][]string
-	row := func(kn string, cap int, heat string, c CacheCell) {
-		rows = append(rows, []string{
-			kn, strconv.Itoa(cap), heat,
-			fmtF(float64(c.Wall.Microseconds()) / 1000),
-			strconv.FormatInt(c.Makespan, 10),
-			fmtF(c.HitRate),
-			strconv.FormatInt(c.Hits, 10),
-			strconv.FormatInt(c.Misses, 10),
-			strconv.FormatInt(c.Evictions, 10),
-			strconv.FormatInt(c.Refetches, 10),
-			strconv.FormatInt(c.Prefetches, 10),
-			strconv.FormatInt(c.PrefetchHits, 10),
-			strconv.FormatInt(c.CapEnd, 10),
-		})
-	}
 	for _, kn := range r.Kernels {
 		for _, cap := range r.Caps {
-			row(kn, cap, "off", r.Cells[kn][cap])
-			if hc, ok := r.HeatCells[kn][cap]; ok {
-				row(kn, cap, "on", hc)
-			}
+			c := r.Cells[kn][cap]
+			rows = append(rows, []string{
+				kn, strconv.Itoa(cap),
+				fmtF(float64(c.Wall.Microseconds()) / 1000),
+				strconv.FormatInt(c.Makespan, 10),
+				fmtF(c.HitRate),
+				strconv.FormatInt(c.Hits, 10),
+				strconv.FormatInt(c.Misses, 10),
+				strconv.FormatInt(c.Evictions, 10),
+				strconv.FormatInt(c.Refetches, 10),
+				strconv.FormatInt(c.Prefetches, 10),
+				strconv.FormatInt(c.PrefetchHits, 10),
+				strconv.FormatInt(c.CapEnd, 10),
+			})
 		}
 	}
-	probe := func(heat string, st cluster.Stats) {
-		hr := 1.0
-		if total := st.CacheHits + st.CacheMisses; total > 0 {
-			hr = float64(st.CacheHits) / float64(total)
-		}
-		rows = append(rows, []string{
-			"triread+steal", strconv.Itoa(r.StealCap), heat, "", "",
-			fmtF(hr),
-			strconv.FormatInt(st.CacheHits, 10),
-			strconv.FormatInt(st.CacheMisses, 10),
-			"", "",
-			strconv.FormatInt(st.Prefetches, 10),
-			strconv.FormatInt(st.PrefetchHits, 10),
-			"",
-		})
+	st := r.Steal
+	hr := 1.0
+	if total := st.CacheHits + st.CacheMisses; total > 0 {
+		hr = float64(st.CacheHits) / float64(total)
 	}
-	probe("off", r.StealOff)
-	probe("on", r.StealOn)
-	return writeCSV(w, []string{"kernel", "cap", "heat", "wall_ms", "makespan", "hit_rate",
+	rows = append(rows, []string{
+		"triread+steal", strconv.Itoa(r.StealCap), "", "",
+		fmtF(hr),
+		strconv.FormatInt(st.CacheHits, 10),
+		strconv.FormatInt(st.CacheMisses, 10),
+		"", "",
+		strconv.FormatInt(st.Prefetches, 10),
+		strconv.FormatInt(st.PrefetchHits, 10),
+		"",
+	})
+	return writeCSV(w, []string{"kernel", "cap", "wall_ms", "makespan", "hit_rate",
 		"hits", "misses", "evictions", "refetches", "prefetches", "prefetch_hits", "cap_end"}, rows)
 }
 
@@ -298,16 +250,6 @@ func (r *CacheResult) WriteJSON(w io.Writer) error {
 		PrefetchHits int64   `json:"prefetch_hits"`
 		CapEnd       int64   `json:"cap_end"`
 	}
-	conv := func(c CacheCell) cell {
-		return cell{
-			WallMS:   float64(c.Wall.Microseconds()) / 1000,
-			Makespan: c.Makespan, HitRate: c.HitRate,
-			Hits: c.Hits, Misses: c.Misses,
-			Evictions: c.Evictions, Refetches: c.Refetches,
-			Prefetches: c.Prefetches, PrefetchHits: c.PrefetchHits,
-			CapEnd: c.CapEnd,
-		}
-	}
 	type probe struct {
 		Steals       int64 `json:"steals"`
 		Misses       int64 `json:"misses"`
@@ -315,37 +257,33 @@ func (r *CacheResult) WriteJSON(w io.Writer) error {
 		Prefetches   int64 `json:"prefetches"`
 		PrefetchHits int64 `json:"prefetch_hits"`
 	}
-	convP := func(st cluster.Stats) probe {
-		return probe{Steals: st.Steals, Misses: st.CacheMisses, Hits: st.CacheHits,
-			Prefetches: st.Prefetches, PrefetchHits: st.PrefetchHits}
-	}
+	st := r.Steal
 	doc := struct {
-		N         int                        `json:"n"`
-		PEs       int                        `json:"pes"`
-		Caps      []int                      `json:"caps"`
-		Kernels   []string                   `json:"kernels"`
-		Cells     map[string]map[string]cell `json:"cells"`
-		HeatCells map[string]map[string]cell `json:"heat_cells"`
-		StealCap  int                        `json:"steal_cap"`
-		StealOff  probe                      `json:"triread_steal_heat_off"`
-		StealOn   probe                      `json:"triread_steal_heat_on"`
+		N        int                        `json:"n"`
+		PEs      int                        `json:"pes"`
+		Caps     []int                      `json:"caps"`
+		Kernels  []string                   `json:"kernels"`
+		Cells    map[string]map[string]cell `json:"cells"`
+		StealCap int                        `json:"steal_cap"`
+		Steal    probe                      `json:"triread_steal"`
 	}{
 		N: r.N, PEs: r.PEs, Caps: r.Caps, Kernels: r.Kernels,
-		Cells:     make(map[string]map[string]cell),
-		HeatCells: make(map[string]map[string]cell),
-		StealCap:  r.StealCap,
-		StealOff:  convP(r.StealOff), StealOn: convP(r.StealOn),
+		Cells:    make(map[string]map[string]cell),
+		StealCap: r.StealCap,
+		Steal: probe{Steals: st.Steals, Misses: st.CacheMisses, Hits: st.CacheHits,
+			Prefetches: st.Prefetches, PrefetchHits: st.PrefetchHits},
 	}
 	for kn, byCap := range r.Cells {
 		doc.Cells[kn] = make(map[string]cell)
 		for cap, c := range byCap {
-			doc.Cells[kn][strconv.Itoa(cap)] = conv(c)
-		}
-	}
-	for kn, byCap := range r.HeatCells {
-		doc.HeatCells[kn] = make(map[string]cell)
-		for cap, c := range byCap {
-			doc.HeatCells[kn][strconv.Itoa(cap)] = conv(c)
+			doc.Cells[kn][strconv.Itoa(cap)] = cell{
+				WallMS:   float64(c.Wall.Microseconds()) / 1000,
+				Makespan: c.Makespan, HitRate: c.HitRate,
+				Hits: c.Hits, Misses: c.Misses,
+				Evictions: c.Evictions, Refetches: c.Refetches,
+				Prefetches: c.Prefetches, PrefetchHits: c.PrefetchHits,
+				CapEnd: c.CapEnd,
+			}
 		}
 	}
 	enc := json.NewEncoder(w)

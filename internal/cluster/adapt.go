@@ -29,6 +29,11 @@ package cluster
 // exactly, and single-assignment semantics make the results identical no
 // matter how the bounds moved.
 
+import (
+	"cmp"
+	"slices"
+)
+
 // sweepCosts accumulates one (loop, sweep)'s observations.
 type sweepCosts struct {
 	iters      map[int64]int64
@@ -103,7 +108,8 @@ func (a *adaptCoord) merge(m *Msg, round int32) (newSweep bool) {
 }
 
 // tick runs the rebind policy at the end of complete probe round `round`
-// and returns the cut broadcasts to send.
+// and returns the cut broadcasts to send, in template order so the
+// broadcast sequence does not depend on map iteration.
 func (a *adaptCoord) tick(round int32) []rebind {
 	var out []rebind
 	for tmpl, lc := range a.loops {
@@ -144,6 +150,7 @@ func (a *adaptCoord) tick(round int32) []rebind {
 		// The planned sweep and everything older is consumed.
 		a.retire(lc, idx)
 	}
+	slices.SortFunc(out, func(x, y rebind) int { return cmp.Compare(x.tmpl, y.tmpl) })
 	return out
 }
 

@@ -18,32 +18,47 @@ func compileKernel(t *testing.T, name string) (*kernels.Kernel, *isa.Program) {
 	return &k, compile(t, k.File(), k.Source)
 }
 
+// adaptProbeEvery is the pumped adapt run's probe cadence in pumping
+// rounds. relax at n=12 takes about 300 (8 PEs) to 760 (2 PEs) pumping
+// rounds, so this gives 37–95 probe rounds, and every cadence from 2 to
+// 32 yields the same two rebinds at each PE count. At 128 the 8-PE run
+// ends before any sweep boundary is probed — the race a free-running run
+// can lose.
+const adaptProbeEvery = 8
+
 // TestAdaptRelaxAgreesWithSimAndRebinds runs the drifting-skew kernel with
 // adaptation on at several PE counts and checks both halves of the
 // contract: the results stay bit-for-bit identical to the simulator no
-// matter how the bounds moved, and the coordinator actually moved them
-// (rebound broadcasts were observed wherever a rebind is possible).
+// matter how the bounds moved, and the coordinator actually moved them.
+// The free-running run checks agreement under real timing, where a small
+// run can finish before any probe round sees a sweep end, so its rebind
+// count proves nothing either way. The pumped run plays the probe rounds
+// on a fixed script, so every sweep boundary is observed and a run with
+// no rebind is a coordinator that never engaged.
 func TestAdaptRelaxAgreesWithSimAndRebinds(t *testing.T) {
 	k, prog := compileKernel(t, "relax")
-	args := k.Args(12)
+	const n = 12
+	args := k.Args(n)
 	wantVals, wantMasks := simArraysMasked(t, prog, 1, k.Arrays, args...)
 	for _, pes := range []int{2, 4, 8} {
 		res, err := Execute(testCtx(t), prog, Config{
-			NumPEs:    pes,
-			PageElems: 8,
-			Adapt:     true,
-			// A tight probe cadence makes rebinds land between the tiny
-			// test sweeps instead of after the run is already over.
+			NumPEs:        pes,
+			PageElems:     8,
+			Adapt:         true,
 			ProbeInterval: 20 * time.Microsecond,
 		}, args...)
 		if err != nil {
 			t.Fatalf("adapt@%d: %v", pes, err)
 		}
 		checkAgainstSimMasked(t, res, wantVals, wantMasks)
-		if res.Stats.Rebounds == 0 {
-			t.Errorf("adapt@%d: no rebound broadcasts — adaptation never engaged", pes)
+
+		_, arrays, rebounds := pumpedRun(t, *k, n, pes, pumpCfg{adaptEvery: adaptProbeEvery})
+		checkGathered(t, *k, arrays, wantVals, wantMasks)
+		if rebounds == 0 {
+			t.Errorf("adapt@%d pumped: no rebound broadcasts — adaptation never engaged", pes)
 		}
-		t.Logf("adapt@%d: rebounds=%d msgs=%d", pes, res.Stats.Rebounds, res.Stats.MsgsSent)
+		t.Logf("adapt@%d: free-running rebounds=%d msgs=%d; pumped rebounds=%d",
+			pes, res.Stats.Rebounds, res.Stats.MsgsSent, rebounds)
 	}
 }
 

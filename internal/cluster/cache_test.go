@@ -14,12 +14,27 @@ import (
 // immutable data), and batched locality-aware steal grants reduce the
 // post-steal page fetches that location-blind single grants pay.
 
-// pumpedRun executes a kernel on hand-pumped workers — a deterministic,
-// adversarially fair schedule — and returns the workers and gathered
-// arrays at quiescence. perRound, when non-nil, observes the workers after
+// pumpCfg selects a pumped run's worker options. adaptEvery > 0 arms
+// adaptation and plays the driver's probe part on a fixed script: every
+// adaptEvery pumping rounds (while no probe round is open) a KProbe goes
+// to every PE, the cost reports it flushes merge into an adaptCoord, and
+// once all of the round's acks are in, the coordinator's rebinds are
+// broadcast — the real driver's round boundary, at deterministic points
+// of the schedule. It must be at least 2: a pumping round that carries a
+// probe always makes progress, so the run needs probe-free rounds to be
+// seen quiescent. perRound, when non-nil, observes the workers after
 // every pumping round (invariant checks mid-run).
-func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, steal, stealOne bool,
-	cachePages int, perRound func([]*worker)) ([]*worker, map[int64]*gathered) {
+type pumpCfg struct {
+	steal, stealOne bool
+	cachePages      int
+	adaptEvery      int
+	perRound        func([]*worker)
+}
+
+// pumpedRun executes a kernel on hand-pumped workers — a deterministic,
+// adversarially fair schedule — and returns the workers, the gathered
+// arrays at quiescence, and the number of rebinds broadcast.
+func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, pc pumpCfg) ([]*worker, map[int64]*gathered, int64) {
 	t.Helper()
 	prog := compile(t, k.File(), k.Source)
 	geo := rtcfg.Geometry{PEs: pes, PageElems: 8, DistThreshold: 16}
@@ -29,10 +44,15 @@ func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, steal, stealOne bool,
 	eps := newChanTransport(pes, 0)
 	ws := make([]*worker, pes)
 	for pe := range ws {
-		ws[pe] = newWorker(pe, pes, geo, prog, eps[pe], workerOpts{steal: steal, cachePages: cachePages})
-		ws[pe].stealOne = stealOne
+		ws[pe] = newWorker(pe, pes, geo, prog, eps[pe],
+			workerOpts{steal: pc.steal, adapt: pc.adaptEvery > 0, cachePages: pc.cachePages})
+		ws[pe].stealOne = pc.stealOne
 	}
 	driver := eps[pes]
+	ad := newAdaptCoord(pes)
+	var round int32 // the last probe round sent
+	var acks int    // acks received for it
+	open := false   // a probe round awaits acks
 
 	arrays := make(map[int64]*gathered)
 	drainDriver := func() {
@@ -52,6 +72,12 @@ func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, steal, stealOne bool,
 					t.Fatal(err)
 				}
 				arrays[m.Arr] = &gathered{h: h, vals: make([]float64, h.Elems()), mask: make([]bool, h.Elems())}
+			case KCostReport:
+				ad.merge(m, round)
+			case KAck:
+				if m.Round == round {
+					acks++
+				}
 			case KFail:
 				t.Fatalf("worker failed: %s", m.Name)
 			case KDump:
@@ -69,10 +95,30 @@ func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, steal, stealOne bool,
 		if rounds > 50_000_000 {
 			t.Fatal("pumped run did not quiesce")
 		}
+		if pc.adaptEvery > 0 && !open && rounds%pc.adaptEvery == 0 {
+			round++
+			acks, open = 0, true
+			for pe := 0; pe < pes; pe++ {
+				if err := driver.Send(pe, &Msg{Kind: KProbe, Round: round}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		progress := pumpRound(ws, eps)
 		drainDriver()
-		if perRound != nil {
-			perRound(ws)
+		if open && acks == pes {
+			open = false
+			for _, rb := range ad.tick(round) {
+				for pe := 0; pe < pes; pe++ {
+					m := &Msg{Kind: KRebound, Tmpl: rb.tmpl, Cuts: append([]int64(nil), rb.cuts...)}
+					if err := driver.Send(pe, m); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		if pc.perRound != nil {
+			pc.perRound(ws)
 		}
 		if !progress {
 			break
@@ -100,7 +146,7 @@ func pumpedRun(t *testing.T, k kernels.Kernel, n, pes int, steal, stealOne bool,
 		drainDriver()
 	}
 	drainDriver()
-	return ws, arrays
+	return ws, arrays, ad.rebounds
 }
 
 // checkGathered compares pumped-run arrays bit-for-bit against the
@@ -140,13 +186,13 @@ func TestCacheCapHardBoundDuringRun(t *testing.T) {
 	const cap = 2
 	k, _ := kernels.ByName("mirror")
 	wantVals, wantMasks := simArraysMasked(t, compile(t, k.File(), k.Source), 4, k.Arrays, k.Args(12)...)
-	ws, arrays := pumpedRun(t, k, 12, 4, false, false, cap, func(ws []*worker) {
+	ws, arrays, _ := pumpedRun(t, k, 12, 4, pumpCfg{cachePages: cap, perRound: func(ws []*worker) {
 		for _, w := range ws {
 			if got := w.shard.CachedPages(); got > cap {
 				t.Fatalf("pe %d: %d resident cached pages, cap %d", w.pe, got, cap)
 			}
 		}
-	})
+	}})
 	var evictions, hits int64
 	for _, w := range ws {
 		evictions += w.shard.Evictions
@@ -193,19 +239,23 @@ func TestEvictionKeepsKernelsDeterminate(t *testing.T) {
 // triangular kernel with reads (triread — plain triangular never reads an
 // array, so its post-steal miss count is vacuously zero) at 8 PEs must pay
 // fewer page fetches under batched locality-aware grants than under the
-// PR 2 policy (one location-blind SP per grant). Two mechanisms buy the
-// reduction: a batch is adjacent rows of one victim's block, whose operand
-// rows share straddling pages (n is deliberately not page-aligned), and
-// whole-batch migration means fewer scattered grant events. The pumped
-// schedule is deterministic, so the counts are exactly reproducible.
+// PR 2 policy (one location-blind SP per grant). Both arms stream
+// prefetches, which hide a stolen row scan's later pages either way, so
+// the difference is in the first read of each stolen row: the victim
+// ranks its candidates by the pages the thief already holds, and pushes
+// the owned page each granted read starts on ahead of the grant. The
+// pumped schedule is deterministic, so the counts are exactly
+// reproducible.
 func TestBatchedLocalityStealReducesPostStealMisses(t *testing.T) {
 	const n, pes = 26, 8
 	k, ok := kernels.ByName("triread")
 	if !ok {
 		t.Fatal("triread kernel missing")
 	}
+	wantVals, wantMasks := simArraysMasked(t, compile(t, k.File(), k.Source), pes, k.Arrays, k.Args(n)...)
 	run := func(single bool) (misses, steals int64) {
-		ws, _ := pumpedRun(t, k, n, pes, true, single, 0, nil)
+		ws, arrays, _ := pumpedRun(t, k, n, pes, pumpCfg{steal: true, stealOne: single})
+		checkGathered(t, k, arrays, wantVals, wantMasks)
 		for _, w := range ws {
 			misses += w.ctr[cMisses]
 			steals += w.ctr[cSteals]

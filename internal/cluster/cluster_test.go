@@ -61,7 +61,7 @@ func codecCorpus() []*Msg {
 			Peers: []string{"a:1", "b:2"}, Prog: []byte("{}")},
 		{Kind: KStop},
 		{Kind: KStealReq, From: 2},
-		{Kind: KStealReq, From: 3, Hot: []int64{packID(0, 1), packID(2, 5)}},
+		{Kind: KTrace, From: 3, TraceEvs: []int64{1, 2, 3, 4}, TraceDrops: 5},
 		{Kind: KStealGrant, Batch: []StealItem{
 			{SP: packID(1, 9), Tmpl: 3,
 				Args: []isa.Value{isa.Int(7), {}}, Set: []bool{true, false},
@@ -86,9 +86,9 @@ func codecCorpus() []*Msg {
 		{Kind: KFlush, From: 1, Epoch: 2, Inc: 1},
 		{Kind: KStealReq, From: 1, HotPages: []int64{packID(0, 1), 3, packID(2, 5), 0}},
 		{Kind: KJobStart, Job: 2, NumPEs: 4, PageElems: 8, DistThreshold: 16,
-			CachePages: 2, Steal: true, Heat: true, Prog: []byte("{}")},
-		{Kind: KSubmit, Job: 1, Seq: 7, Name: "triread", CachePages: 4, Heat: true,
-			Args: []isa.Value{isa.Int(26)}, Prog: []byte("p")},
+			CachePages: 2, Steal: true, Recover: true, Incs: []int32{0, 1}, Prog: []byte("{}")},
+		{Kind: KSubmit, Job: 1, Seq: 7, Name: "triread", CachePages: 4, Adapt: true,
+			MaxInstrs: 1 << 20, MaxElems: 4096, Args: []isa.Value{isa.Int(26)}, Prog: []byte("p")},
 	}
 }
 
@@ -111,6 +111,23 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(m, got) {
 			t.Errorf("%s: round trip mismatch:\n sent %+v\n got  %+v", m.Kind, m, got)
+		}
+	}
+}
+
+// TestMsgDataFrameSize pins the wire size of the high-volume data frames.
+// Configuration, recovery and program fields ride only the kinds that
+// carry them, so a token, a write and a read request each encode to the
+// flat prefix alone: 107 bytes.
+func TestMsgDataFrameSize(t *testing.T) {
+	const want = 107
+	for _, m := range []*Msg{
+		{Kind: KToken, From: 3, SP: packID(2, 7), Slot: 5, Val: isa.Float(3.25)},
+		{Kind: KWrite, Arr: 77, Off: 40, Val: isa.Int(-9)},
+		{Kind: KReadReq, Arr: 77, Off: 12, ReqPE: 2, SP: packID(2, 3), Slot: 1},
+	} {
+		if got := len(encodeMsg(nil, m)); got != want {
+			t.Errorf("%s encodes to %d bytes, want %d", m.Kind, got, want)
 		}
 	}
 }

@@ -149,19 +149,6 @@ type Config struct {
 	// round's work before it is stopped. 0 (the default) is unlimited.
 	MaxInstrs int64
 
-	// Heat enables the unified page-heat machinery: every worker keeps one
-	// per-shard table of (array, page) → {residency, heat, last touch,
-	// sequential-run length} and spends it four ways — steal requests
-	// advertise hot pages instead of hot arrays, sequential scans prefetch
-	// the next page before the miss, CachePages self-tunes between the
-	// configured floor and 8× it from refetch pressure, and a rebind
-	// migrates the hot pages of its newly-gained iterations. Off by
-	// default: every mechanism rides existing message kinds, so results
-	// stay bit-identical either way. The PODS_FORCE_PREFETCH environment
-	// variable ("1"/"true") forces it on, so a CI leg can run the whole
-	// test matrix with the heat machinery engaged.
-	Heat bool
-
 	// MaxElems is the job's memory budget in allocated I-structure
 	// elements, enforced exactly at each allocation broadcast (the driver
 	// sees every ALLOC/ALLOCD before an element is written). A job whose
@@ -229,9 +216,6 @@ func (c *Config) fill() error {
 	if ForceTraceFromEnv() {
 		c.Trace = true
 	}
-	if ForcePrefetchFromEnv() {
-		c.Heat = true
-	}
 	if c.TraceCap < 0 || c.TraceSample < 0 {
 		return fmt.Errorf("cluster: negative trace bound (cap %d, sample %d)", c.TraceCap, c.TraceSample)
 	}
@@ -253,8 +237,8 @@ func (c *Config) fill() error {
 }
 
 // workerOpts bundles the per-worker feature switches newWorker takes, so
-// the three spawn sites (in-process bring-up, channel respawn, TCP
-// ServeWorker) stay in sync as features accrete.
+// its two spawn sites (fleetHost.startJob and PumpedRun) stay in sync as
+// features accrete.
 type workerOpts struct {
 	steal       bool
 	adapt       bool
@@ -262,7 +246,6 @@ type workerOpts struct {
 	trace       bool
 	traceCap    int
 	traceSample int
-	heat        bool
 }
 
 // workerOpts derives a worker's option set from a filled Config.
@@ -274,7 +257,6 @@ func (c *Config) workerOpts() workerOpts {
 		trace:       c.Trace,
 		traceCap:    c.TraceCap,
 		traceSample: c.TraceSample,
-		heat:        c.Heat,
 	}
 }
 
@@ -320,13 +302,6 @@ func ForceAdaptFromEnv() bool { return forcedEnv("PODS_FORCE_ADAPT") }
 // whose control arms depend on tracing being genuinely off (bench.Trace's
 // overhead baseline) test the exact condition fill applies.
 func ForceTraceFromEnv() bool { return forcedEnv("PODS_FORCE_TRACE") }
-
-// ForcePrefetchFromEnv reports whether the PODS_FORCE_PREFETCH
-// environment override is active ("1" or "true"). Exported so experiment
-// harnesses whose control arms depend on the heat machinery being
-// genuinely off (bench.Cache's prefetch-off arm) test the exact condition
-// fill applies.
-func ForcePrefetchFromEnv() bool { return forcedEnv("PODS_FORCE_PREFETCH") }
 
 // ForceCachePagesFromEnv reports the PODS_FORCE_CACHE_PAGES override: a
 // positive integer page-cache cap applied to runs that leave

@@ -196,7 +196,6 @@ func (h *fleetHost) startJob(ctx context.Context, m *Msg) {
 		trace:       m.Trace,
 		traceCap:    int(m.TraceCap),
 		traceSample: int(m.TraceSample),
-		heat:        m.Heat,
 	})
 	w.job = job
 	if m.Recover {
@@ -424,9 +423,10 @@ func (f *Fleet) noteDown(m *Msg) {
 	}
 }
 
-// jobStartMsg builds one PE's KJobStart: the job's full knob set, budget,
-// recovery state, and (on TCP) the serialized program. incs must be a
-// fresh slice per call — the receiving worker retains and mutates it.
+// jobStartMsg builds one PE's KJobStart: the job's full knob set,
+// recovery state, and (on TCP) the serialized program. It carries no
+// budgets: the driver enforces both. incs must be a fresh slice per call
+// — the receiving worker retains and mutates it.
 func jobStartMsg(cfg *Config, prog []byte, epoch int32, incs []int32) *Msg {
 	return &Msg{
 		Kind:          KJobStart,
@@ -439,9 +439,6 @@ func jobStartMsg(cfg *Config, prog []byte, epoch int32, incs []int32) *Msg {
 		Trace:         cfg.Trace,
 		TraceCap:      int32(cfg.TraceCap),
 		TraceSample:   int32(cfg.TraceSample),
-		Heat:          cfg.Heat,
-		MaxInstrs:     cfg.MaxInstrs,
-		MaxElems:      cfg.MaxElems,
 		Epoch:         epoch,
 		Incs:          incs,
 		Prog:          prog,

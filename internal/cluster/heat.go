@@ -2,25 +2,28 @@ package cluster
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/cluster/trace"
 	"repro/internal/isa"
 	"repro/internal/istructure"
 )
 
-// This file is the worker-side half of the unified page-heat machinery
-// (Config.Heat). The shard's heat table (istructure/heat.go) records what
-// happened to every page; this layer turns the record into decisions:
+// This file is the worker-side half of the unified page-heat machinery,
+// which every worker runs. The shard's heat table (istructure/heat.go)
+// records what happened to every page; this layer turns the record into
+// decisions. None of them can change a result: single assignment makes a
+// present cached element final, so a page fetched early is never stale.
 //
 //   - streaming prefetch: a detected sequential scan asks the owner for
 //     the next page before the miss, via an SP-0 KReadReq answered on the
 //     ordinary KPage path — recovery, replay, and the four-counter
 //     termination sums need no new cases;
-//   - page-granular steal locality: steal requests advertise hot pages
-//     instead of hot arrays, and the victim ranks candidates by the rows
-//     their operand frames would touch at the thief;
-//   - the adaptive cache cap: CachePages self-tunes between a floor and a
-//     ceiling from per-probe-round refetch pressure;
+//   - page-granular steal locality: steal requests advertise hot pages,
+//     and the victim ranks candidates by the rows their operand frames
+//     would touch at the thief;
+//   - the adaptive cache cap: a nonzero CachePages self-tunes between a
+//     floor and a ceiling from per-probe-round refetch pressure;
 //   - rebind migration: a KRebound's newly-gained iterations prefetch the
 //     pages of their rows, so adapted copies start warm.
 
@@ -32,9 +35,6 @@ type heatKey struct {
 
 // heatState is the worker's page-heat bookkeeping.
 type heatState struct {
-	// on mirrors Config.Heat for this worker.
-	on bool
-
 	// inflight dedups prefetch requests: one per page until its KPage
 	// lands (or a demand fetch of the same page overtakes it).
 	inflight map[heatKey]struct{}
@@ -48,10 +48,9 @@ type heatState struct {
 	gov capGovernor
 }
 
-// newHeatState arms the worker-side heat machinery.
+// newHeatState builds the worker-side heat machinery for a configured cap.
 func newHeatState(cachePages int) heatState {
 	return heatState{
-		on:       true,
 		inflight: make(map[heatKey]struct{}),
 		arrived:  make(map[heatKey]struct{}),
 		gov:      newCapGovernor(cachePages),
@@ -67,9 +66,6 @@ const prefetchRun = 2
 // Called on the remote-read path for both hits and misses: the scan's
 // own misses start the chain, and the hits keep it one page ahead.
 func (w *worker) maybePrefetch(h *istructure.Header, off int) {
-	if !w.heat.on {
-		return
-	}
 	page := h.PageOf(off)
 	if w.shard.ScanRun(h.ID, page) < prefetchRun {
 		return
@@ -83,7 +79,7 @@ func (w *worker) maybePrefetch(h *istructure.Header, off int) {
 // delivery. Reports whether a request actually went out (already-local,
 // already-inflight, self-owned, and out-of-range pages are skipped).
 func (w *worker) prefetchPage(h *istructure.Header, page int) bool {
-	if !w.heat.on || page < 0 || page >= h.Pages() {
+	if page < 0 || page >= h.Pages() {
 		return false
 	}
 	if w.shard.PageLocal(h.ID, page) {
@@ -113,9 +109,6 @@ func (w *worker) prefetchPage(h *istructure.Header, page int) bool {
 // notePrefetchHit credits a demand cache hit to the prefetch that staged
 // the page, once per prefetched page.
 func (w *worker) notePrefetchHit(arr int64, page int) {
-	if !w.heat.on {
-		return
-	}
 	k := heatKey{arr, page}
 	if _, ok := w.heat.arrived[k]; ok {
 		delete(w.heat.arrived, k)
@@ -139,41 +132,105 @@ func (w *worker) hotPagePairs(limit int) []int64 {
 	return out
 }
 
-// pageScore counts how many of the thief's resident pages this SP's
-// operands would actually touch: for each array operand in the frame,
-// the pages holding the rows named by the frame's integer operands.
-// Array-granular scoring cannot separate two iterations of a sweep over
-// one shared array — every candidate scores 1 — but iteration i scores
-// here on the page holding row i, which is exactly what the thief has or
-// hasn't.
-func (w *worker) pageScore(sp *spInst, pages map[heatKey]struct{}) int {
-	n := 0
-	for s, v := range sp.frame {
-		if !sp.present[s] || v.Kind != isa.KindArray {
+// rowOff maps a 1-based row index, the convention every distributed sweep
+// in the ISA uses, to the offset of the row's first element.
+func rowOff(h *istructure.Header, row int64) (int, bool) {
+	if row < 1 || row > int64(h.Dims[0]) {
+		return 0, false
+	}
+	if len(h.Dims) == 2 {
+		return (int(row) - 1) * h.RowLen(), true
+	}
+	return int(row) - 1, true
+}
+
+// readRowPages calls fn with the page each of sp's array reads starts on:
+// for every AREAD whose array and leading index are already in the frame,
+// the page holding the first element of that row. For an unstarted SP —
+// the only kind a steal grants — these are the pages its first reads
+// touch.
+func (w *worker) readRowPages(sp *spInst, fn func(h *istructure.Header, page int)) {
+	for i := range sp.tmpl.Code {
+		ins := &sp.tmpl.Code[i]
+		if ins.Op != isa.AREAD || len(ins.Args) == 0 {
 			continue
 		}
-		h := w.shard.Header(v.I)
+		a, r := ins.A, ins.Args[0]
+		if !sp.present[a] || sp.frame[a].Kind != isa.KindArray ||
+			!sp.present[r] || sp.frame[r].Kind != isa.KindInt {
+			continue
+		}
+		h := w.shard.Header(sp.frame[a].I)
 		if h == nil {
 			continue
 		}
-		for s2, iv := range sp.frame {
-			if !sp.present[s2] || iv.Kind != isa.KindInt {
-				continue
-			}
-			row := iv.I
-			if row < 1 || row > int64(h.Dims[0]) {
-				continue
-			}
-			off := int(row) - 1
-			if len(h.Dims) == 2 {
-				off = (int(row) - 1) * h.RowLen()
-			}
-			if _, ok := pages[heatKey{v.I, h.PageOf(off)}]; ok {
-				n++
-			}
+		if off, ok := rowOff(h, sp.frame[r].I); ok {
+			fn(h, h.PageOf(off))
 		}
 	}
+}
+
+// pageScore counts how many of the thief's resident pages this SP's reads
+// start on. Array-granular scoring cannot separate two iterations of a
+// sweep over one shared array — every candidate scores 1 — but iteration
+// i scores here on the page holding row i, which is exactly what the
+// thief has or hasn't.
+func (w *worker) pageScore(sp *spInst, pages map[heatKey]struct{}) int {
+	n := 0
+	w.readRowPages(sp, func(h *istructure.Header, page int) {
+		if _, ok := pages[heatKey{h.ID, page}]; ok {
+			n++
+		}
+	})
 	return n
+}
+
+// grantPushMax bounds the pages one steal grant pushes ahead of itself.
+const grantPushMax = 16
+
+// pushGrantPages ships to the thief, ahead of a grant, the pages this
+// worker owns that the batch's reads start on and the thief did not
+// advertise as hot. A stolen iteration's first read of a row is the miss
+// streaming prefetch cannot hide — no scan has started at the thief yet —
+// and its owner is often the victim itself, which then saves the thief a
+// request round trip. The pages go out as SP-0 KPages, the prefetch
+// reply form, before the grant on the same link, so they install ahead of
+// the SPs that read them; they count as prefetches here and as prefetch
+// hits where they serve a read. With a cache cap the push is also bounded
+// by the cap, so it cannot sweep the thief's cache.
+func (w *worker) pushGrantPages(thief int, batch []*spInst, hot map[heatKey]struct{}) {
+	budget := grantPushMax
+	if c := w.shard.CacheCap; c > 0 && c < budget {
+		budget = c
+	}
+	sent := make(map[heatKey]struct{})
+	for _, sp := range batch {
+		w.readRowPages(sp, func(h *istructure.Header, page int) {
+			k := heatKey{h.ID, page}
+			if _, ok := hot[k]; ok || budget == 0 {
+				return
+			}
+			if _, ok := sent[k]; ok || h.OwnerOf(page*h.PageElems) != w.pe {
+				return
+			}
+			_, pg, _, err := w.shard.ExtractPage(h.ID, page*h.PageElems)
+			if err != nil || !slices.Contains(pg.Set, true) {
+				return
+			}
+			sent[k] = struct{}{}
+			budget--
+			w.ctr[cPrefetches]++
+			w.rec(trace.EvPrefetch, h.ID, int64(page))
+			w.send(thief, &Msg{
+				Kind: KPage,
+				Arr:  h.ID,
+				Page: int32(page),
+				Off:  int32(page * h.PageElems),
+				Vals: pg.Vals,
+				Set:  pg.Set,
+			})
+		})
+	}
 }
 
 // migrate bounds for one rebind: how many arrays are considered and how
@@ -192,9 +249,6 @@ const (
 // the burst. Iterations are taken as 1-based row indices, the convention
 // every distributed sweep in the ISA uses.
 func (w *worker) migrateHotPages(oldCuts, newCuts []int64) {
-	if !w.heat.on {
-		return
-	}
 	newLo, newHi := cutBounds(newCuts, w.pe, w.n)
 	oldLo, oldHi := int64(math.MaxInt64), int64(math.MinInt64) // empty before the first rebind
 	if oldCuts != nil {
@@ -217,11 +271,7 @@ func (w *worker) migrateHotPages(oldCuts, newCuts []int64) {
 			if row >= oldLo && row <= oldHi {
 				continue // was already this PE's share
 			}
-			off := int(row) - 1
-			if len(h.Dims) == 2 {
-				off = (int(row) - 1) * h.RowLen()
-			}
-			if w.prefetchPage(h, h.PageOf(off)) {
+			if off, ok := rowOff(h, row); ok && w.prefetchPage(h, h.PageOf(off)) {
 				budget--
 			}
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster/trace"
 	"repro/internal/isa"
@@ -230,14 +231,7 @@ func (w *worker) handleReadReq(m *Msg) {
 		if err != nil {
 			return // page not owned here (stale hint): drop silently
 		}
-		any := false
-		for _, set := range pg.Set {
-			if set {
-				any = true
-				break
-			}
-		}
-		if !any {
+		if !slices.Contains(pg.Set, true) {
 			// An all-absent snapshot would occupy a cache frame at the
 			// requester for nothing; the scan will re-ask via a demand
 			// read when it actually arrives at the page.
@@ -285,22 +279,29 @@ func (w *worker) handleReadReq(m *Msg) {
 func (w *worker) handlePage(m *Msg) {
 	h := w.shard.Header(m.Arr)
 	if h == nil {
+		if m.SP == 0 {
+			// A page pushed with a steal grant can overtake the header
+			// broadcast (the victim sent it, not the allocating PE); it
+			// is only a hint.
+			return
+		}
 		// The requester had the header when it sent the request; a page
 		// for an unknown array means protocol corruption.
 		w.fail(fmt.Errorf("page for unknown array %d", m.Arr))
 		return
 	}
+	k := heatKey{m.Arr, int(m.Page)}
+	fresh := !w.shard.PageResident(m.Arr, int(m.Page))
 	pg := &istructure.CachedPage{Vals: m.Vals, Set: m.Set}
 	w.shard.InstallPage(m.Arr, int(m.Page), pg)
-	if w.heat.on {
-		delete(w.heat.inflight, heatKey{m.Arr, int(m.Page)})
-	}
+	delete(w.heat.inflight, k)
 	if m.SP == 0 {
-		// A prefetched page: the install is the whole job. No element was
-		// requested, so neither the presence check nor a delivery applies;
-		// the first demand hit on the page credits the prefetch.
-		if w.heat.on {
-			w.heat.arrived[heatKey{m.Arr, int(m.Page)}] = struct{}{}
+		// A prefetched or pushed page: the install is the whole job. No
+		// element was requested, so neither the presence check nor a
+		// delivery applies; the first demand hit on the page credits the
+		// prefetch, unless the page was already resident.
+		if fresh {
+			w.heat.arrived[k] = struct{}{}
 		}
 		return
 	}

@@ -11,7 +11,7 @@ import (
 // adversarially fair round-robin schedule of pumpRound, with no driver
 // probes — and returns the quiescent counters (Stats, PEInstrs, PEStats)
 // summed as a probed run's final acks are. It honours cfg's geometry and
-// worker options (Steal, CachePages, Heat, Trace) and nothing else: no
+// worker options (Steal, CachePages, Trace) and nothing else: no
 // environment overrides, rebinds (there are no probe rounds) or recovery,
 // so equal inputs always give equal counts. Unlike free-running schedules, where a steal-heavy
 // kernel's reads mostly resolve as deferred tokens and timing moves every

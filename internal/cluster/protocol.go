@@ -86,18 +86,18 @@ const (
 
 	// KStealReq asks a peer for not-yet-started SP instances. Sent by an
 	// idle worker (empty ready queue) to a victim chosen round-robin with
-	// backoff. Hot carries the thief's hot-array summary — the arrays with
-	// pages resident in its cache — so the victim can prefer granting SPs
-	// whose operand arrays the thief already holds.
+	// backoff. HotPages carries the thief's hot-page summary — the
+	// (array, page) pairs whose data is local to it — so the victim can
+	// prefer granting SPs whose operand rows the thief already holds.
 	KStealReq
 
 	// KStealGrant answers a steal request with a batch of stolen SPs
 	// (Batch): up to half of the victim's stealable backlog in one
-	// message, locality-preferred (SPs whose operand arrays appear in the
-	// thief's Hot summary first, oldest first within equal locality). Each
-	// item ships the SP's home ID, template, operand frame, and cost tag;
-	// the victim leaves one forwarding stub per item behind so tokens
-	// addressed to the home IDs are relayed to the thief.
+	// message, locality-preferred (SPs whose operand rows lie on pages in
+	// the thief's HotPages summary first, oldest first within equal
+	// locality). Each item ships the SP's home ID, template, operand
+	// frame, and cost tag; the victim leaves one forwarding stub per item
+	// behind so tokens addressed to the home IDs are relayed to the thief.
 	KStealGrant
 
 	// KStealNone answers a steal request when the victim has nothing to
@@ -361,14 +361,11 @@ type Msg struct {
 	Cuts  []int64 // per-PE last-iteration cut points (rebound)
 
 	// Work stealing (stealReq, stealGrant).
-	Hot      []int64     // thief's hot-array summary (stealReq, legacy mode)
-	HotPages []int64     // thief's hot-page summary as (array, page) pairs (stealReq, heat mode)
+	HotPages []int64     // thief's hot-page summary as (array, page) pairs (stealReq)
 	Batch    []StealItem // granted SP instances, locality-preferred order (stealGrant)
 
-	// Worker configuration (init) and recovery announcements (recover).
-	// Incs is the full per-PE incarnation vector; Recover enables the
-	// worker-side recovery machinery (write logging, grant logging,
-	// idempotent rewrites).
+	// Worker configuration (init block: init, jobStart, submit): identity,
+	// geometry, the job's knobs, and the serialized program.
 	PE            int32
 	NumPEs        int32
 	PageElems     int32
@@ -376,10 +373,16 @@ type Msg struct {
 	CachePages    int32
 	Steal         bool
 	Adapt         bool
-	Recover       bool
-	Incs          []int32
-	Peers         []string
 	Prog          []byte
+
+	// Recovery announcements (recover block: init, recover, jobStart).
+	// Incs is the full per-PE incarnation vector; Recover enables the
+	// worker-side recovery machinery (write logging, grant logging,
+	// idempotent rewrites); Peers is the TCP peer table (repointed after a
+	// re-homing).
+	Recover bool
+	Incs    []int32
+	Peers   []string
 
 	// Observability (init, trace). The init block carries the tracing
 	// configuration to remote workers; the trace block carries a flushed
@@ -390,19 +393,12 @@ type Msg struct {
 	TraceEvs    []int64
 	TraceDrops  int64
 
-	// Per-job budgets (init block: jobStart, submit). Zero = unlimited.
-	// A worker that exceeds its instruction budget, or allocates past its
-	// element budget, fails its job — only that job.
+	// Per-job budgets (init block; only submit fills them). Zero =
+	// unlimited. The job server clamps them to its own caps, and the
+	// driver enforces both: MaxElems at each allocation broadcast,
+	// MaxInstrs from the acked instruction totals. No worker reads them.
 	MaxInstrs int64
 	MaxElems  int64
-
-	// Heat (init block) enables the unified page-heat machinery on the
-	// receiving worker: page-granular steal summaries, streaming
-	// prefetch, the adaptive cache cap, and rebind migration. A versioned
-	// knob: both sides of a job agree on the KStealReq.Hot/HotPages
-	// semantics because the same KJobStart/KSubmit frame that starts the
-	// job carries it.
-	Heat bool
 }
 
 // StealItem is one SP instance migrating inside a KStealGrant batch: its
@@ -433,8 +429,8 @@ func (k MsgKind) hasAdaptBlock() bool {
 }
 
 // hasRecoverBlock reports whether the kind carries the recovery
-// configuration fields (Recover, Incs) on the wire, gated like the other
-// blocks so data frames stay free of them.
+// configuration fields (Recover, Incs, Peers) on the wire, gated like the
+// other blocks so data frames stay free of them.
 func (k MsgKind) hasRecoverBlock() bool {
 	switch k {
 	case KInit, KRecover, KJobStart:
@@ -444,7 +440,7 @@ func (k MsgKind) hasRecoverBlock() bool {
 }
 
 // hasStealBlock reports whether the kind carries the work-stealing fields
-// (Hot, HotPages, Batch) on the wire, gated the same way as the adapt
+// (HotPages, Batch) on the wire, gated the same way as the adapt
 // block.
 func (k MsgKind) hasStealBlock() bool {
 	switch k {
@@ -460,10 +456,10 @@ func (k MsgKind) hasStealBlock() bool {
 // always-empty block. Round stays in the flat prefix — probes carry it too.
 func (k MsgKind) hasStatsBlock() bool { return k == KAck }
 
-// hasInitBlock reports whether the kind carries the observability
-// configuration (Trace, TraceCap, TraceSample) and the per-job budgets
-// (MaxInstrs, MaxElems): worker bring-up, per-job bring-up, and job
-// submission do.
+// hasInitBlock reports whether the kind carries the worker configuration
+// (PE … Adapt, Prog), the observability configuration (Trace, TraceCap,
+// TraceSample) and the per-job budgets (MaxInstrs, MaxElems): worker
+// bring-up, per-job bring-up, and job submission do.
 func (k MsgKind) hasInitBlock() bool {
 	switch k {
 	case KInit, KJobStart, KSubmit:
@@ -496,10 +492,11 @@ func (k MsgKind) isData() bool {
 // always encoded — frames stay small because unused slices encode as a
 // 4-byte zero length, and the simplicity buys us an obviously symmetric
 // encoder/decoder pair. The exceptions are the kind-gated blocks — probe
-// statistics (hasStatsBlock), adaptive repartitioning (hasAdaptBlock), and
-// work stealing (hasStealBlock): both codec halves branch on the kind they
-// have already read, so symmetry is preserved while the high-volume data
-// kinds stay free of always-zero bytes.
+// statistics (hasStatsBlock), adaptive repartitioning (hasAdaptBlock), work
+// stealing (hasStealBlock), recovery (hasRecoverBlock), configuration
+// (hasInitBlock), and trace rings (hasTraceBlock): both codec halves branch
+// on the kind they have already read, so symmetry is preserved while the
+// high-volume data kinds stay free of always-zero bytes.
 
 func appendU32(b []byte, v uint32) []byte  { return binary.LittleEndian.AppendUint32(b, v) }
 func appendI32(b []byte, v int32) []byte   { return appendU32(b, uint32(v)) }
@@ -591,7 +588,6 @@ func encodeMsg(b []byte, m *Msg) []byte {
 		b = appendI64s(b, m.Cuts)
 	}
 	if m.Kind.hasStealBlock() {
-		b = appendI64s(b, m.Hot)
 		b = appendI64s(b, m.HotPages)
 		b = appendU32(b, uint32(len(m.Batch)))
 		for i := range m.Batch {
@@ -615,21 +611,6 @@ func encodeMsg(b []byte, m *Msg) []byte {
 			}
 		}
 	}
-	b = appendI32(b, m.PE)
-	b = appendI32(b, m.NumPEs)
-	b = appendI32(b, m.PageElems)
-	b = appendI32(b, m.DistThreshold)
-	b = appendI32(b, m.CachePages)
-	if m.Steal {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	if m.Adapt {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
 	if m.Kind.hasRecoverBlock() {
 		if m.Recover {
 			b = append(b, 1)
@@ -640,8 +621,27 @@ func encodeMsg(b []byte, m *Msg) []byte {
 		for _, v := range m.Incs {
 			b = appendI32(b, v)
 		}
+		b = appendU32(b, uint32(len(m.Peers)))
+		for _, p := range m.Peers {
+			b = appendString(b, p)
+		}
 	}
 	if m.Kind.hasInitBlock() {
+		b = appendI32(b, m.PE)
+		b = appendI32(b, m.NumPEs)
+		b = appendI32(b, m.PageElems)
+		b = appendI32(b, m.DistThreshold)
+		b = appendI32(b, m.CachePages)
+		if m.Steal {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+		if m.Adapt {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
 		if m.Trace {
 			b = append(b, 1)
 		} else {
@@ -651,22 +651,13 @@ func encodeMsg(b []byte, m *Msg) []byte {
 		b = appendI32(b, m.TraceSample)
 		b = appendI64(b, m.MaxInstrs)
 		b = appendI64(b, m.MaxElems)
-		if m.Heat {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
+		b = appendU32(b, uint32(len(m.Prog)))
+		b = append(b, m.Prog...)
 	}
 	if m.Kind.hasTraceBlock() {
 		b = appendI64s(b, m.TraceEvs)
 		b = appendI64(b, m.TraceDrops)
 	}
-	b = appendU32(b, uint32(len(m.Peers)))
-	for _, p := range m.Peers {
-		b = appendString(b, p)
-	}
-	b = appendU32(b, uint32(len(m.Prog)))
-	b = append(b, m.Prog...)
 	return b
 }
 
@@ -829,7 +820,6 @@ func decodeMsg(b []byte) (*Msg, error) {
 		m.Cuts = r.i64s()
 	}
 	if m.Kind.hasStealBlock() {
-		m.Hot = r.i64s()
 		m.HotPages = r.i64s()
 		// Minimum wire size of one item: the five fixed scalars plus two
 		// empty slice-length prefixes.
@@ -857,13 +847,6 @@ func decodeMsg(b []byte) (*Msg, error) {
 			}
 		}
 	}
-	m.PE = r.i32()
-	m.NumPEs = r.i32()
-	m.PageElems = r.i32()
-	m.DistThreshold = r.i32()
-	m.CachePages = r.i32()
-	m.Steal = r.u8() != 0
-	m.Adapt = r.u8() != 0
 	if m.Kind.hasRecoverBlock() {
 		m.Recover = r.u8() != 0
 		if n := r.sliceLen(4); n > 0 {
@@ -872,27 +855,33 @@ func decodeMsg(b []byte) (*Msg, error) {
 				m.Incs[i] = r.i32()
 			}
 		}
+		if n := r.sliceLen(4); n > 0 {
+			m.Peers = make([]string, n)
+			for i := range m.Peers {
+				m.Peers[i] = r.str()
+			}
+		}
 	}
 	if m.Kind.hasInitBlock() {
+		m.PE = r.i32()
+		m.NumPEs = r.i32()
+		m.PageElems = r.i32()
+		m.DistThreshold = r.i32()
+		m.CachePages = r.i32()
+		m.Steal = r.u8() != 0
+		m.Adapt = r.u8() != 0
 		m.Trace = r.u8() != 0
 		m.TraceCap = r.i32()
 		m.TraceSample = r.i32()
 		m.MaxInstrs = r.i64()
 		m.MaxElems = r.i64()
-		m.Heat = r.u8() != 0
+		if n := r.sliceLen(1); n > 0 {
+			m.Prog = append([]byte(nil), r.take(n)...)
+		}
 	}
 	if m.Kind.hasTraceBlock() {
 		m.TraceEvs = r.i64s()
 		m.TraceDrops = r.i64()
-	}
-	if n := r.sliceLen(4); n > 0 {
-		m.Peers = make([]string, n)
-		for i := range m.Peers {
-			m.Peers[i] = r.str()
-		}
-	}
-	if n := r.sliceLen(1); n > 0 {
-		m.Prog = append([]byte(nil), r.take(n)...)
 	}
 	if r.err != nil {
 		return nil, r.err

@@ -26,7 +26,7 @@ type Stats struct {
 	Recoveries    int64 // worker deaths survived by respawn + replay (Config.Recover)
 	ReplayedSPs   int64 // root assignments replayed against replacement workers
 	Checkpoints   int64 // completed replay-log GC checkpoints (Recover+Adapt)
-	Prefetches    int64 // pages requested ahead of the miss (Config.Heat)
+	Prefetches    int64 // pages requested ahead of the miss (streaming prefetch, rebind migration)
 	PrefetchHits  int64 // prefetched pages that later served a demand read
 	CacheCapNow   int64 // final resident-page budget, summed over PEs (adaptive cap)
 }

@@ -116,7 +116,6 @@ func (f *Fleet) serveJobConn(ctx context.Context, conn net.Conn) {
 		Trace:         m.Trace,
 		TraceCap:      int(m.TraceCap),
 		TraceSample:   int(m.TraceSample),
-		Heat:          m.Heat,
 		Recover:       f.cfg.Recover,
 		MaxInstrs:     clampBudget(m.MaxInstrs, f.cfg.MaxInstrs),
 		MaxElems:      clampBudget(m.MaxElems, f.cfg.MaxElems),
@@ -239,7 +238,6 @@ func SubmitJob(ctx context.Context, addr string, prog *isa.Program, cfg Config, 
 		Trace:         cfg.Trace,
 		TraceCap:      int32(cfg.TraceCap),
 		TraceSample:   int32(cfg.TraceSample),
-		Heat:          cfg.Heat,
 		MaxInstrs:     cfg.MaxInstrs,
 		MaxElems:      cfg.MaxElems,
 		Prog:          wire,

@@ -620,19 +620,39 @@ func TestStealGrantBatchHalfOldestFirst(t *testing.T) {
 	}
 }
 
-// TestStealLocalityPreference: the victim prefers granting SPs whose
-// operand-frame arrays appear in the thief's hot summary, oldest first
-// within equal locality.
-func TestStealLocalityPreference(t *testing.T) {
-	prog := taskProgram()
+// rowReadVictim builds a stealing worker 0 of 2 holding three unstarted
+// SPs of a one-template program that reads A[row, row] from an 8×32
+// distributed array: rows 1, 10 and 1 in age order. PE 0 owns pages 0–15,
+// i.e. rows 1–16, and row r lives on page r-1.
+func rowReadVictim(t *testing.T) (*worker, []Endpoint, *istructure.Header, *isa.Program) {
+	t.Helper()
+	rd := isa.NewInstr(isa.AREAD)
+	rd.Dst, rd.A, rd.Args = 2, 0, []int{1, 1}
+	prog := &isa.Program{
+		EntryID: 0,
+		Templates: []*isa.Template{{
+			ID:      0,
+			Name:    "rowread",
+			Kind:    isa.TmplMain,
+			NParams: 2,
+			NSlots:  3,
+			Code:    []isa.Instr{rd, isa.NewInstr(isa.HALT)},
+		}},
+	}
 	eps := newChanTransport(2, 0)
 	geo := rtcfg.Geometry{PEs: 2, PageElems: 8, DistThreshold: 16}
 	w0 := newWorker(0, 2, geo, prog, eps[0], workerOpts{steal: true})
-	// Three unstarted SPs whose first operand is an array handle; only the
-	// second references the thief's hot array 77.
-	for _, arr := range []int64{55, 77, 55} {
+	const arr = 77
+	h, err := istructure.NewHeader(arr, "A", []int{32, 8}, geo.PageElems, 2, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w0.shard.Install(h); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []int64{1, 10, 1} {
 		if err := eps[2].Send(0, &Msg{Kind: KSpawn, Tmpl: 0,
-			Args: []isa.Value{isa.Array(arr), isa.Float(0)}}); err != nil {
+			Args: []isa.Value{isa.Array(arr), isa.Int(row)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -643,7 +663,17 @@ func TestStealLocalityPreference(t *testing.T) {
 		}
 		w0.handle(m)
 	}
-	w0.handle(&Msg{Kind: KStealReq, From: 1, Hot: []int64{77}})
+	return w0, eps, h, prog
+}
+
+// TestStealLocalityPreference: the victim prefers granting SPs whose reads
+// start on pages in the thief's hot summary, oldest first within equal
+// locality. All three candidates read the same shared array, so only the
+// page holding each one's row can tell them apart.
+func TestStealLocalityPreference(t *testing.T) {
+	w0, eps, h, _ := rowReadVictim(t)
+	w0.handle(&Msg{Kind: KStealReq, From: 1, HotPages: []int64{h.ID, int64(h.PageOf(9 * h.RowLen()))}})
+	// Nothing is written yet, so no page is pushed ahead of the grant.
 	grant, ok := eps[1].TryRecv()
 	if !ok || grant.Kind != KStealGrant {
 		t.Fatalf("got %+v, want a grant", grant)
@@ -652,12 +682,51 @@ func TestStealLocalityPreference(t *testing.T) {
 		t.Fatalf("batch of %d, want 2 (⌈3/2⌉)", len(grant.Batch))
 	}
 	if grant.Batch[0].SP != packID(0, 2) {
-		t.Errorf("batch[0] = SP %d, want %d (the hot-array SP preferred over older cold ones)",
+		t.Errorf("batch[0] = SP %d, want %d (the hot-page SP preferred over older cold ones)",
 			grant.Batch[0].SP, packID(0, 2))
 	}
 	if grant.Batch[1].SP != packID(0, 1) {
 		t.Errorf("batch[1] = SP %d, want %d (oldest of the cold SPs)",
 			grant.Batch[1].SP, packID(0, 1))
+	}
+}
+
+// TestStealGrantPushesReadPages: a grant is preceded by the owned pages
+// its SPs' reads start on, except pages the thief advertised as hot, and
+// the thief installs them as prefetched pages — dropping one that
+// overtakes the array's header instead of failing.
+func TestStealGrantPushesReadPages(t *testing.T) {
+	w0, eps, h, prog := rowReadVictim(t)
+	for _, row := range []int{1, 10} {
+		w0.ownerWrite(h.ID, (row-1)*h.RowLen(), isa.Float(float64(row)))
+	}
+	w0.handle(&Msg{Kind: KStealReq, From: 1, HotPages: []int64{h.ID, int64(h.PageOf(9 * h.RowLen()))}})
+	pushed, ok := eps[1].TryRecv()
+	if !ok || pushed.Kind != KPage || pushed.SP != 0 || pushed.Page != 0 {
+		t.Fatalf("got %+v, want row 1's page 0 pushed as an SP-0 KPage", pushed)
+	}
+	if grant, ok := eps[1].TryRecv(); !ok || grant.Kind != KStealGrant {
+		t.Fatalf("got %+v after the pushed page, want the grant (row 10's page is hot at the thief)", grant)
+	}
+	if w0.ctr[cPrefetches] != 1 {
+		t.Errorf("victim counted %d prefetches, want 1 per pushed page", w0.ctr[cPrefetches])
+	}
+
+	geo := rtcfg.Geometry{PEs: 2, PageElems: 8, DistThreshold: 16}
+	w1 := newWorker(1, 2, geo, prog, eps[1], workerOpts{steal: true})
+	w1.handle(pushed)
+	if w1.failed || w1.shard.PageResident(h.ID, 0) {
+		t.Fatalf("thief without the header: failed=%v resident=%v, want the page dropped", w1.failed, w1.shard.PageResident(h.ID, 0))
+	}
+	if err := w1.shard.Install(h); err != nil {
+		t.Fatal(err)
+	}
+	w1.handle(pushed)
+	if !w1.shard.PageResident(h.ID, 0) {
+		t.Fatal("pushed page not installed at the thief")
+	}
+	if v, _, hit := w1.shard.CacheLookup(h.ID, h, 0); !hit || v.AsFloat() != 1 {
+		t.Errorf("thief reads A[1,1] = %v (hit %v), want 1 from the pushed page", v, hit)
 	}
 }
 
@@ -687,7 +756,7 @@ func TestStealMidDequeGrantNoShift(t *testing.T) {
 	// grant must skip it and take the next-oldest.
 	started, third := w0.ready[0], w0.ready[2]
 	started.pc = 1
-	batch := w0.stealBatch(nil, nil)
+	batch := w0.stealBatch(nil)
 	if len(batch) != 1 || batch[0].id != packID(0, 2) {
 		t.Fatalf("batch = %v, want exactly the second SP", batch)
 	}
@@ -723,7 +792,7 @@ func TestReadyDequeBoundedGrowth(t *testing.T) {
 	spawn()
 	for round := 0; round < 10_000; round++ {
 		spawn() // two live SPs queued, never fully drained
-		if got := w0.stealBatch(nil, nil); len(got) != 1 {
+		if got := w0.stealBatch(nil); len(got) != 1 {
 			t.Fatalf("round %d: stole %d SPs, want 1", round, len(got))
 		}
 		if dead := w0.readyHead + w0.readyNil; dead > len(w0.ready) {

@@ -133,7 +133,7 @@ type worker struct {
 	// protocol bug and fails loudly. Both maps are bounded by the number
 	// of migrations, not total SPs.
 	steal            bool
-	stealOne         bool // legacy single-grant mode (A/B comparisons in tests)
+	stealOne         bool // legacy single-grant, locality-blind mode (the tests' reference policy)
 	forwards         map[int64]int
 	halted           map[int64]struct{}
 	stealVictim      int   // round-robin cursor over peers
@@ -222,9 +222,8 @@ type worker struct {
 	costAcc   map[costKey]int64
 	nextSweep int64
 
-	// heat is the worker-side page-heat machinery (Config.Heat): the
-	// prefetch dedup and credit tables and the adaptive-cap governor.
-	// See heat.go.
+	// heat is the worker-side page-heat machinery: the prefetch dedup and
+	// credit tables and the adaptive-cap governor. See heat.go.
 	heat heatState
 
 	// sliceSteps counts step() calls since the last cooperative yield.
@@ -340,9 +339,7 @@ func newWorker(pe, n int, geo rtcfg.Geometry, prog *isa.Program, ep Endpoint, op
 		stealVictim: pe, // first attempt targets (pe+1) mod n
 	}
 	w.shard.CacheCap = opts.cachePages
-	if opts.heat {
-		w.heat = newHeatState(opts.cachePages)
-	}
+	w.heat = newHeatState(opts.cachePages)
 	if opts.trace {
 		w.tr = trace.New(opts.traceCap, opts.traceSample)
 		// The shard's eviction point is the one place a cached page dies;
@@ -602,33 +599,25 @@ func (w *worker) maybeSteal() {
 	}
 	w.stealOutstanding = true
 	w.rec(trace.EvStealReq, int64(w.stealVictim), 0)
-	// The request advertises what is hot here, so the victim can prefer
-	// granting SPs whose operands this worker already holds — a stolen
-	// iteration that reads a hot operand pays cache hits instead of fresh
-	// page fetches. In heat mode the summary is page-granular (it can
-	// tell apart iterations of a single shared array); otherwise it is
-	// the legacy array-granular list.
-	req := &Msg{Kind: KStealReq}
-	if w.heat.on {
-		req.HotPages = w.hotPagePairs(stealHotMax)
-	} else {
-		req.Hot = w.shard.HotArrays(stealHotMax)
-	}
-	w.send(w.stealVictim, req)
+	// The request advertises the pages that are hot here, so the victim
+	// can prefer granting SPs whose operand rows this worker already holds
+	// — a stolen iteration that reads a hot page pays cache hits instead
+	// of fresh page fetches. The summary is page-granular, so it tells
+	// apart iterations of a single shared array.
+	w.send(w.stealVictim, &Msg{Kind: KStealReq, HotPages: w.hotPagePairs(stealHotMax)})
 }
 
-// stealHotMax caps the hot-array summary a steal request carries.
+// stealHotMax caps the hot-page summary a steal request carries.
 const stealHotMax = 16
 
 // stealBatch selects and removes up to half of the stealable backlog for a
-// thief whose locality summary is hot (array-granular) or hotPages
-// (page-granular (array, page) pairs, heat mode): nil when the victim is
-// unloaded (fewer than two live entries — it must stay loaded after
-// granting) or holds only in-flight SPs. Selection prefers SPs whose
-// operands are resident at the thief (more hot operands first) and is
-// stable within equal locality, so with no locality signal the grant is
-// the oldest not-yet-started SPs in age order — for a loop nest, whole
-// outer iterations rather than inner fragments. Removal never shifts the
+// thief whose resident pages include hot: nil
+// when the victim is unloaded (fewer than two live entries — it must stay
+// loaded after granting) or holds only in-flight SPs. Selection prefers
+// SPs whose operand rows are resident at the thief (more hot pages first)
+// and is stable within equal locality, so with no locality signal the
+// grant is the oldest not-yet-started SPs in age order — for a loop nest,
+// whole outer iterations rather than inner fragments. Removal never shifts the
 // deque: the bottom entry advances readyHead, mid-deque entries become nil
 // tombstones (amortized O(1) per grant, reclaimed by compactReady).
 //
@@ -637,7 +626,7 @@ const stealHotMax = 16
 // responsibility, so running one on a different PE would recompute that
 // PE's share — a double write, not a migration. Everything else is
 // location-independent: its inputs travel in the operand frame.
-func (w *worker) stealBatch(hot, hotPages []int64) []*spInst {
+func (w *worker) stealBatch(hot map[heatKey]struct{}) []*spInst {
 	live := len(w.ready) - w.readyHead - w.readyNil
 	if live < 2 {
 		return nil
@@ -668,41 +657,17 @@ func (w *worker) stealBatch(hot, hotPages []int64) []*spInst {
 		limit = live - 1
 	}
 	if w.stealOne {
-		// Legacy PR 2 policy for A/B comparisons: one SP, oldest first,
-		// locality-blind.
-		limit, hot, hotPages = 1, nil, nil
+		// Legacy PR 2 policy, the reference the batched policy is tested
+		// against: one SP, oldest first, locality-blind.
+		limit, hot = 1, nil
 	}
-	if (len(hot) > 0 || len(hotPages) > 1) && len(cand) > 1 {
-		// Score each candidate once (the comparator would otherwise
-		// rescan every operand frame O(log k) times per candidate).
+	if len(hot) > 0 && len(cand) > 1 {
+		// Rank by the rows the thief actually holds. Score each candidate
+		// once (the comparator would otherwise rescan every template
+		// O(log k) times per candidate).
 		scores := make(map[int]int, len(cand))
-		if len(hotPages) > 1 {
-			// Page-granular (heat mode): rank by the operand rows the
-			// thief actually holds.
-			pageSet := make(map[heatKey]struct{}, len(hotPages)/2)
-			for i := 0; i+1 < len(hotPages); i += 2 {
-				pageSet[heatKey{hotPages[i], int(hotPages[i+1])}] = struct{}{}
-			}
-			for _, idx := range cand {
-				scores[idx] = w.pageScore(w.ready[idx], pageSet)
-			}
-		} else {
-			hotSet := make(map[int64]struct{}, len(hot))
-			for _, id := range hot {
-				hotSet[id] = struct{}{}
-			}
-			for _, idx := range cand {
-				sp := w.ready[idx]
-				n := 0
-				for s, v := range sp.frame {
-					if sp.present[s] && v.Kind == isa.KindArray {
-						if _, ok := hotSet[v.I]; ok {
-							n++
-						}
-					}
-				}
-				scores[idx] = n
-			}
+		for _, idx := range cand {
+			scores[idx] = w.pageScore(w.ready[idx], hot)
 		}
 		sort.SliceStable(cand, func(i, j int) bool {
 			return scores[cand[i]] > scores[cand[j]]
@@ -727,8 +692,8 @@ func (w *worker) stealBatch(hot, hotPages []int64) []*spInst {
 }
 
 // handleStealReq answers a peer's steal request: grant up to half of the
-// stealable backlog in one batch (leaving a forwarding stub per home ID)
-// or decline.
+// stealable backlog in one batch (leaving a forwarding stub per home ID),
+// preceded by the owned pages its reads start on, or decline.
 func (w *worker) handleStealReq(m *Msg) {
 	thief := int(m.From)
 	if thief < 0 || thief >= w.n || thief == w.pe {
@@ -736,12 +701,19 @@ func (w *worker) handleStealReq(m *Msg) {
 		return
 	}
 	var batch []*spInst
+	hot := make(map[heatKey]struct{}, len(m.HotPages)/2)
+	for i := 0; i+1 < len(m.HotPages); i += 2 {
+		hot[heatKey{m.HotPages[i], int(m.HotPages[i+1])}] = struct{}{}
+	}
 	if !w.failed {
-		batch = w.stealBatch(m.Hot, m.HotPages)
+		batch = w.stealBatch(hot)
 	}
 	if len(batch) == 0 {
 		w.send(thief, &Msg{Kind: KStealNone})
 		return
+	}
+	if !w.stealOne {
+		w.pushGrantPages(thief, batch, hot)
 	}
 	items := make([]StealItem, len(batch))
 	for i, sp := range batch {
@@ -1104,7 +1076,7 @@ func (w *worker) handle(m *Msg) {
 		// effect immediately (growth) or at the next install (shrink, via
 		// InstallPage's shrink loop).
 		ctr := w.snapshot()
-		if w.heat.on && w.heat.gov.enabled() {
+		if w.heat.gov.enabled() {
 			rd := ctr[cRefetches] - w.pub[cRefetches]
 			if cap, changed := w.heat.gov.tick(rd, ctr[cEvicts]-w.pub[cEvicts]); changed {
 				w.shard.CacheCap = cap
@@ -1139,9 +1111,9 @@ func (w *worker) handle(m *Msg) {
 		old := w.cuts[int(m.Tmpl)]
 		w.cuts[int(m.Tmpl)] = m.Cuts
 		w.rec(trace.EvRebound, int64(m.Tmpl), 0)
-		// Heat mode: iterations gained by the new cut prefetch their rows'
-		// pages now, so the adapted copies start warm instead of paying a
-		// cold remote fetch each.
+		// Iterations gained by the new cut prefetch their rows' pages
+		// now, so the adapted copies start warm instead of paying a cold
+		// remote fetch each.
 		w.migrateHotPages(old, m.Cuts)
 
 	case KRecover:

@@ -7,12 +7,13 @@ import "sort"
 // (CacheLookup), page arrivals (InstallPage), evictions (evictAt), and
 // owned-segment reads (ReadLocal) — and every consumer reads it back out:
 // the CLOCK sweep's reference bits are heat deltas, refetch detection is
-// the eviction-generation stamp, the steal-locality summaries (HotArrays,
-// HotPages) rank by heat, and the streaming-prefetch scan detector is the
-// per-page sequential-run length. Before this table the same facts lived
-// in four places (per-slot ref bits, two generational eviction maps, an
-// on-demand cache walk, and nothing at all for scans); now there is one
-// record per (array, page) and four views of it.
+// the eviction-generation stamp, the locality summaries (HotPages for
+// steal requests, HotArrays for rebind migration) rank by heat, and the
+// streaming-prefetch scan detector is the per-page sequential-run length.
+// Before this table the same facts lived in four places (per-slot ref
+// bits, two generational eviction maps, an on-demand cache walk, and
+// nothing at all for scans); now there is one record per (array, page)
+// and four views of it.
 
 // pageStat is one (array, page) entry of the heat table.
 type pageStat struct {

@@ -453,15 +453,16 @@ func (s *Shard) CacheLookup(id int64, h *Header, off int) (v isa.Value, hitPage,
 	return pg.Vals[i], true, true
 }
 
-// HotArrays summarizes this shard's locality for a steal request: the
-// arrays whose data is resident here, hottest first, at most limit
-// entries. Two kinds of residency count — arrays wholly homed at this PE
-// (non-distributed, allocated here: reads of them are free shard hits, the
-// strongest possible signal, so they rank above everything) and arrays
-// with cached remote pages, ranked by resident page count. Distributed
-// arrays' owned segments are excluded: every PE owns a slice of every
-// distributed array, so at array granularity they carry no signal. Ties
-// break on array ID so the summary is deterministic for a given state.
+// HotArrays summarizes this shard's locality at array granularity, for
+// rebind migration: the arrays whose data is resident here, hottest
+// first, at most limit entries. Two kinds of residency count — arrays
+// wholly homed at this PE (non-distributed, allocated here: reads of them
+// are free shard hits, the strongest possible signal, so they rank above
+// everything) and arrays with cached remote pages, ranked by resident
+// page count. Distributed arrays' owned segments are excluded: every PE
+// owns a slice of every distributed array, so at array granularity they
+// carry no signal. Ties break on array ID so the summary is deterministic
+// for a given state.
 func (s *Shard) HotArrays(limit int) []int64 {
 	if limit <= 0 {
 		return nil
